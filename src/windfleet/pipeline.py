@@ -25,7 +25,7 @@ from .series import AnnualSeries
 
 log = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_REFERENCE_HEIGHT = 76.0
 
 CONFIG_KEYS = ("turbines", "extension", "exclusions", "windgrid", "generation",
@@ -83,8 +83,9 @@ class RunConfig:
             self.base_year = self.start_year
 
     def check(self) -> None:
-        if self.start_year > self.end_year:
-            raise ConfigError(f"start_year {self.start_year} after end_year {self.end_year}")
+        if self.start_year >= self.end_year:
+            raise ConfigError(f"study needs at least two years, got start_year "
+                              f"{self.start_year} and end_year {self.end_year}")
         if not self.start_year <= self.base_year <= self.end_year:
             raise ConfigError(f"base_year {self.base_year} outside study period")
         if self.workers < 1:
@@ -212,7 +213,6 @@ class ReportBundle:
 def run_pipeline(config: RunConfig) -> ReportBundle:
     """Execute every stage and write the report bundle; see module docs."""
     config.check()
-    windgrid.reset_calm_fallback_count()
     trends.reset_counterfactual_fallback_count()
     years = config.years
     year_list = list(years)
@@ -238,24 +238,16 @@ def run_pipeline(config: RunConfig) -> ReportBundle:
                  len(grid.lats), len(grid.lons))
 
     with _stage("powerflux"):
-        span = (config.start_year, config.end_year)
-        pin = powerflux.annual_pin_series(grid, fleet, years, "hub", "actual",
-                                          span, config.workers)
-        pin_avg = powerflux.annual_pin_series(grid, fleet, years, "hub",
-                                              "long_term_average", span, config.workers)
-        pin_ref_avg = powerflux.annual_pin_series(grid, fleet, years,
-                                                  config.reference_height,
-                                                  "long_term_average", span, config.workers)
+        pins = powerflux.report_pin(grid, fleet, years, config.reference_height,
+                                    config.workers)
+        pin, pin_avg, pin_ref_avg = pins.annual, pins.annual_avg, pins.annual_ref_avg
         energy = powerflux.parse_generation_csv(Path(config.generation).read_bytes())
         pout = AnnualSeries(config.start_year,
                             [powerflux.pout_series(energy, y) for y in year_list], "W")
         monthly_periods = [(y, m) for y in year_list for m in range(1, 13)]
-        monthly_pin = [powerflux.aggregate_pin(grid, fleet, p, "hub", "actual",
-                                               span, config.workers)
-                       for p in monthly_periods]
         monthly_pout = [powerflux.pout_series(energy, p) for p in monthly_periods]
         monthly = powerflux.PowerAggregates(
-            period=monthly_periods, p_in=monthly_pin, p_out=monthly_pout,
+            period=monthly_periods, p_in=pins.monthly, p_out=monthly_pout,
             area=[area_series.value(p[0]) for p in monthly_periods],
             n=[n_series.value(p[0]) for p in monthly_periods],
             capacity=[capacity_series.value(p[0]) * 1e6 for p in monthly_periods])
@@ -394,7 +386,7 @@ def run_pipeline(config: RunConfig) -> ReportBundle:
             "low_confidence_years": low_confidence,
         },
         "events": {
-            "calm_hours": windgrid.calm_fallback_count(),
+            "calm_hours": pins.calm_hours,
             "counterfactual_fallbacks": trends.counterfactual_fallback_count(),
         },
     }

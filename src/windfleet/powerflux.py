@@ -1,9 +1,12 @@
 """Kinetic input power at turbine locations and aggregate power series.
 
 All power values are carried in watts, energies in watt-hours, areas in m².
-Aggregation over hours and turbines uses compensated (Kahan) summation over a
-fixed partition of the fleet into chunks, so results are bit-identical
-regardless of how many workers evaluate the chunks.
+One kernel pass evaluates the cubed wind speed for every turbine and stamp
+and keeps its sum per turbine and stamp block (calendar month); every fleet
+input power series is then a weighted reduction of those sums.  The pass runs
+over a fixed partition of the fleet into chunks and the reductions are
+correctly rounded, so results are bit-identical regardless of how many
+workers evaluate the chunks.
 """
 
 from __future__ import annotations
@@ -11,22 +14,24 @@ from __future__ import annotations
 import calendar
 import csv
 import io
+import math
 import multiprocessing
+import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
 from .fleet import Fleet, TurbineRecord, operating_weight, rotor_swept_area
 from .series import AnnualSeries
-from .windgrid import REFERENCE_HEIGHT, WindGrid, cell_weights, note_calm_events
+from .windgrid import REFERENCE_HEIGHT, WindGrid, cell_weights
 
 #: air density, kg/m³ (constant; not configurable)
 RHO = 1.225
 #: upper bound on single-turbine conversion efficiency
 BETZ_LIMIT = 16.0 / 27.0
-#: fixed turbine-chunk size of the deterministic reduction
+#: fixed turbine-chunk size of the kernel pass
 CHUNK_TURBINES = 64
 
 #: a period is a calendar year or a (year, month) pair, UTC
@@ -90,157 +95,113 @@ def kinetic_power(v: float, area: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fleet-level aggregation
+# fleet-level aggregation: one kernel pass, then weighted reductions
 # ---------------------------------------------------------------------------
 
-# State shared with forked chunk workers; set immediately before mapping.
-_TASK = None
+#: longest stamp block of a pass: a 31-day month of hourly stamps.  Months
+#: of sub-hourly grids are split, so a chunk's temporaries stay small.
+BLOCK_STAMPS = 744
 
 
-@dataclass
-class _PinTask:
-    #: wind components sliced to the evaluation stamps and transposed to
-    #: [lat][lon][time], so a turbine's time series is a contiguous gather
-    tvars: dict | None
-    cells: list          # per-turbine cell_weights tuples
-    areas: np.ndarray
-    heights: np.ndarray
-    weights: np.ndarray
-    n_steps: int
-    mean_cube: np.ndarray | None
+@dataclass(frozen=True)
+class _PassInputs:
+    """What every turbine chunk of one pass reads."""
+
+    grid: WindGrid
+    #: [turbine, corner] flat node index lat·n_lon + lon, corners as in cell_weights
+    nodes: np.ndarray
+    #: [turbine, corner] bilinear weights
+    corners: np.ndarray
+    #: [height, turbine] 1.5·log10(h/100) of each evaluation height
+    shear: np.ndarray
+    #: block edges as grid stamp indices
+    bounds: np.ndarray
 
 
-def _transpose_slice(grid: WindGrid, k0: int, k1: int) -> dict:
-    """Copy stamps [k0, k1) into time-contiguous layout, one pass per variable."""
-    return {name: np.ascontiguousarray(grid.variable(name)[k0:k1].transpose(1, 2, 0))
-            for name in ("u10", "v10", "u100", "v100")}
+def _speed_squared(grid: WindGrid, u: str, v: str, k0: int, k1: int,
+                   nodes: np.ndarray, local: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """u² + v² of the bilinear blend at each chunk turbine, [turbine, stamp].
 
-
-# Per-process scratch buffers keyed by stamp count; avoids allocating ~35
-# temporaries per turbine, which turns the kernel memory-bandwidth-bound.
-_WS: dict = {}
-
-
-def _workspace(n: int) -> dict:
-    ws = _WS.get(n)
-    if ws is None:
-        _WS.clear()
-        ws = {name: np.empty(n) for name in ("a", "b", "s10", "s100", "tmp")}
-        ws["calm"] = np.empty(n, dtype=bool)
-        ws["keep"] = np.empty(n, dtype=bool)
-        _WS[n] = ws
-    return ws
-
-
-def _turbine_mean_cube(tvars: dict, cell, height: float, n_steps: int) -> tuple[float, int]:
-    """Mean of the cubed hub-height speed over the task stamps at one point.
-
-    Payload is f32; everything is lifted to f64 before arithmetic.  Calm
-    stamps (zero speed at either reference height) use the zero-shear
-    fallback and are counted.
+    Only the chunk's ``nodes`` are read, lifted from f32 to f64 and laid out
+    time-contiguous; ``local`` indexes them per turbine corner.
     """
-    j0, j1, i0, i1 = cell[:4]
-    w00, w01, w10, w11 = (np.float64(w) for w in cell[4:])
-    ws = _workspace(n_steps)
-    a, b, tmp = ws["a"], ws["b"], ws["tmp"]
-
-    def blend(name, out):
-        arr = tvars[name]
-        np.multiply(arr[j0, i0], w00, out=out)
-        np.multiply(arr[j0, i1], w01, out=tmp)
-        out += tmp
-        np.multiply(arr[j1, i0], w10, out=tmp)
-        out += tmp
-        np.multiply(arr[j1, i1], w11, out=tmp)
-        out += tmp
-
-    blend("u10", a)
-    blend("v10", b)
-    s10 = np.hypot(a, b, out=ws["s10"])
-    blend("u100", a)
-    blend("v100", b)
-    s100 = np.hypot(a, b, out=ws["s100"])
-
-    calm, keep = ws["calm"], ws["keep"]
-    np.less_equal(s10, 0.0, out=calm)
-    np.less_equal(s100, 0.0, out=keep)
-    np.logical_or(calm, keep, out=calm)
-    n_calm = int(np.count_nonzero(calm))
-    np.logical_not(calm, out=keep)
-
-    alpha = a  # reuse: ratio, then its log
-    alpha.fill(1.0)
-    np.divide(s100, s10, out=alpha, where=keep)
-    np.log10(alpha, out=alpha)
-    vh = np.power(np.float64(height / REFERENCE_HEIGHT), alpha, out=b)
-    vh *= s100
-    np.multiply(vh, vh, out=tmp)
-    tmp *= vh
-    return float(np.sum(tmp)) / n_steps, n_calm
+    squares = []
+    for name in (u, v):
+        x = grid.variable(name)[k0:k1].reshape(k1 - k0, -1)
+        series = np.ascontiguousarray(np.take(x, nodes, axis=1).T, dtype=np.float64)
+        blend = np.einsum("nct,nc->nt", np.take(series, local, axis=0), corners)
+        squares.append(np.multiply(blend, blend, out=blend))
+    return np.add(*squares, out=squares[0])
 
 
-def _run_chunk(bounds: tuple[int, int]) -> tuple[float, int]:
-    """Kahan-sum the contributions of one fixed turbine chunk."""
-    a, b = bounds
-    task = _TASK
-    s = c = 0.0
+def _chunk_cube_sums(inputs: _PassInputs, chunk: tuple[int, int]) -> tuple[np.ndarray, int]:
+    """Σ v³ per [height, block, turbine] of one turbine chunk, and the
+    chunk's calm turbine-stamps.
+
+    With q = u² + v², the power-law speed v100·(h/100)^α, α = log10(v100/v10),
+    cubes to exp(1.5·ln q100 + 1.5·c·(ln q100 − ln q10)), c = log10(h/100).
+    The blend and both logarithms serve every height.  A calm stamp (q10 = 0
+    or q100 = 0) takes zero shear: q100^1.5, which is 0 when q100 = 0.
+    """
+    a, b = chunk
+    grid, shear, corners = inputs.grid, inputs.shear[:, a:b, None], inputs.corners[a:b]
+    nodes, local = np.unique(inputs.nodes[a:b], return_inverse=True)
+    local = local.reshape(b - a, 4)
+    edges = inputs.bounds
+    out = np.empty((len(shear), len(edges) - 1, b - a))
     calm = 0
-    for idx in range(a, b):
-        w = float(task.weights[idx])
-        if w == 0.0:
-            continue
-        if task.mean_cube is not None:
-            m = float(task.mean_cube[idx])
-        else:
-            m, n_calm = _turbine_mean_cube(task.tvars, task.cells[idx],
-                                           float(task.heights[idx]), task.n_steps)
+    for col in range(len(edges) - 1):
+        k0, k1 = edges[col], edges[col + 1]
+        q10 = _speed_squared(grid, "u10", "v10", k0, k1, nodes, local, corners)
+        q100 = _speed_squared(grid, "u100", "v100", k0, k1, nodes, local, corners)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ln100 = np.log(q100, out=q100)
+            diff = np.log(q10, out=q10)
+            np.subtract(ln100, diff, out=diff)
+        finite = np.isfinite(diff)
+        n_calm = diff.size - int(np.count_nonzero(finite))
+        if n_calm:
+            diff[~finite] = 0.0
             calm += n_calm
-        y = w * 0.5 * RHO * float(task.areas[idx]) * m - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s, calm
-
-
-def _run_mean_chunk(bounds: tuple[int, int]):
-    """Per-turbine mean cubed speeds for one chunk (no cross-turbine reduction)."""
-    a, b = bounds
-    task = _TASK
-    means = np.empty(b - a)
-    calm = 0
-    for idx in range(a, b):
-        means[idx - a], n_calm = _turbine_mean_cube(
-            task.tvars, task.cells[idx], float(task.heights[idx]), task.n_steps)
-        calm += n_calm
-    return means, calm
+        ln100 *= 1.5
+        cube = np.empty_like(diff)
+        for h, k in enumerate(shear):
+            np.multiply(diff, k, out=cube)
+            cube += ln100
+            np.exp(cube, out=cube)
+            out[h, col] = cube.sum(axis=1)
+    return out, calm
 
 
 def _chunk_bounds(n: int) -> list[tuple[int, int]]:
     return [(a, min(a + CHUNK_TURBINES, n)) for a in range(0, n, CHUNK_TURBINES)]
 
 
-def _map_chunks(fn, bounds, workers: int):
-    if workers <= 1 or len(bounds) <= 1:
-        return [fn(b) for b in bounds]
+# The pass a forked pool worker serves.  Bound by the pool initializer
+# inside each worker; the parent process never sets it.
+_worker_inputs: _PassInputs | None = None
+
+
+def _init_worker(inputs: _PassInputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _worker_cube_sums(chunk: tuple[int, int]) -> tuple[np.ndarray, int]:
+    return _chunk_cube_sums(_worker_inputs, chunk)
+
+
+def _map_chunks(inputs: _PassInputs, workers: int) -> list:
+    chunks = _chunk_bounds(len(inputs.nodes))
+    if workers <= 1 or len(chunks) <= 1:
+        return [_chunk_cube_sums(inputs, c) for c in chunks]
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # platform without fork: results are identical anyway
-        return [fn(b) for b in bounds]
-    with ctx.Pool(processes=min(workers, len(bounds))) as pool:
-        return pool.map(fn, bounds)
-
-
-def _combine(results) -> tuple[float, int]:
-    """Kahan-combine chunk sums in chunk order."""
-    s = c = 0.0
-    calm = 0
-    for chunk_sum, chunk_calm in results:
-        y = chunk_sum - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        calm += chunk_calm
-    return s, calm
+        return [_chunk_cube_sums(inputs, c) for c in chunks]
+    with ctx.Pool(processes=min(workers, len(chunks)), initializer=_init_worker,
+                  initargs=(inputs,)) as pool:
+        return pool.map(_worker_cube_sums, chunks)
 
 
 def _stamp_slice(grid: WindGrid, start_ts: int, end_ts: int) -> tuple[int, int]:
@@ -263,6 +224,25 @@ def _study_slice(grid: WindGrid, study_span) -> tuple[int, int]:
     return _stamp_slice(grid, start, end)
 
 
+def _block_bounds(grid: WindGrid, k0: int, k1: int) -> np.ndarray:
+    """Block edges over stamps [k0, k1): a cut at every calendar-month start
+    that falls on a stamp, and every BLOCK_STAMPS stamps inside a month."""
+    cuts = []
+    year, month = time.gmtime(grid.t0 + k0 * grid.step)[:2]
+    while True:
+        year, month = _next_month(year, month)
+        offset = calendar.timegm((year, month, 1, 0, 0, 0)) - grid.t0
+        if offset >= k1 * grid.step:
+            break
+        if offset % grid.step == 0:
+            cuts.append(offset // grid.step)
+    edges = [k0]
+    for k in cuts + [k1]:
+        edges.extend(range(edges[-1] + BLOCK_STAMPS, k, BLOCK_STAMPS))
+        edges.append(k)
+    return np.asarray(edges)
+
+
 def _turbine_heights(turbines: list[TurbineRecord], height_mode) -> np.ndarray:
     if isinstance(height_mode, str):
         if height_mode != "hub":
@@ -272,29 +252,11 @@ def _turbine_heights(turbines: list[TurbineRecord], height_mode) -> np.ndarray:
             if r.hub_height is None:
                 raise DataError(f"turbine {r.id} has no hub height")
             heights.append(r.hub_height)
-        return np.asarray(heights)
+        return np.asarray(heights, dtype=np.float64)
     h = float(height_mode)
     if h <= 0:
         raise ValueError("fixed height must be positive")
     return np.full(len(turbines), h)
-
-
-def _prepare_task(grid: WindGrid, turbines: list[TurbineRecord], height_mode):
-    """Bounds-check turbines against the grid and collect per-turbine arrays."""
-    bad = [r.id for r in turbines
-           if not (grid.lons[0] <= r.lon <= grid.lons[-1]
-                   and grid.lats[0] <= r.lat <= grid.lats[-1])]
-    if bad:
-        shown = ", ".join(bad[:10])
-        more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
-        raise DataError(f"turbines outside wind grid: {shown}{more}")
-    cells = [cell_weights(grid, r.lon, r.lat) for r in turbines]
-    areas = []
-    for r in turbines:
-        if r.rotor_diameter is None:
-            raise DataError(f"turbine {r.id} has no rotor diameter")
-        areas.append(rotor_swept_area(r.rotor_diameter))
-    return cells, np.asarray(areas), _turbine_heights(turbines, height_mode)
 
 
 def _check_climate_mode(climate_mode: str) -> None:
@@ -302,25 +264,101 @@ def _check_climate_mode(climate_mode: str) -> None:
         raise ValueError(f"unknown climate mode {climate_mode!r}")
 
 
-def _mean_cube_array(grid, cells, areas, heights, k0, k1, workers) -> tuple[np.ndarray, int]:
-    global _TASK
-    n = len(cells)
-    _TASK = _PinTask(_transpose_slice(grid, k0, k1), cells, areas, heights,
-                     np.ones(n), k1 - k0, None)
-    results = _map_chunks(_run_mean_chunk, _chunk_bounds(n), workers)
-    _TASK = None
-    calm = sum(r[1] for r in results)
-    return np.concatenate([r[0] for r in results]) if results else np.empty(0), calm
+@dataclass
+class CubeSums:
+    """Σ v³ per evaluation height, stamp block and turbine, from one pass.
+
+    ``sums[h, block, turbine]`` sums the cubed wind speed at the h-th
+    evaluation height over the block's stamps; ``bounds`` holds the block
+    edges as grid stamp indices.  ``calm_hours`` counts the turbine-stamps
+    with zero wind at 10 m or 100 m, each once.  ``scale`` is ½·rho·A per
+    turbine.
+    """
+
+    grid: WindGrid
+    turbines: list[TurbineRecord]
+    bounds: np.ndarray
+    sums: np.ndarray
+    calm_hours: int
+    scale: np.ndarray
+    _weights: dict = field(default_factory=dict, init=False, repr=False)
+
+    def fleet_pin(self, height: int, period, climate_mode: str = "actual") -> float:
+        """Fleet kinetic input power over ``period`` at the ``height``-th
+        evaluation height, in watts: Σ weight · ½·rho·A · Σ v³ / stamps.
+
+        ``actual`` sums the period's blocks; ``long_term_average`` takes
+        each turbine's mean over the whole pass.  The sum over turbines is
+        correctly rounded (``math.fsum``), so it does not depend on order.
+        """
+        _check_climate_mode(climate_mode)
+        k0, k1 = _stamp_slice(self.grid, *period_bounds(period))
+        if climate_mode == "long_term_average":
+            k0, k1 = self.bounds[0], self.bounds[-1]
+        c0, c1 = np.searchsorted(self.bounds, (k0, k1))
+        if c1 >= len(self.bounds) or self.bounds[c0] != k0 or self.bounds[c1] != k1:
+            raise ValueError(f"period {period} is not a span of the pass's blocks")
+        total = self.sums[height, c0:c1].sum(axis=0)
+        year = period_year(period)
+        weights = self._weights.get(year)
+        if weights is None:
+            weights = np.asarray([operating_weight(r, year) for r in self.turbines])
+            self._weights[year] = weights
+        return math.fsum((weights * self.scale * (total / (k1 - k0))).tolist())
 
 
-def _weighted_total(grid, cells, areas, heights, weights, k0, k1,
-                    mean_cube, workers) -> tuple[float, int]:
-    global _TASK
-    tvars = None if mean_cube is not None else _transpose_slice(grid, k0, k1)
-    _TASK = _PinTask(tvars, cells, areas, heights, weights, k1 - k0, mean_cube)
-    results = _map_chunks(_run_chunk, _chunk_bounds(len(areas)), workers)
-    _TASK = None
-    return _combine(results)
+def cube_sums(grid: WindGrid, turbines: list[TurbineRecord], height_modes,
+              stamps: tuple[int, int], workers: int = 1) -> CubeSums:
+    """One kernel pass over grid stamps [k0, k1) at each of ``height_modes``
+    (``"hub"`` or a fixed height in meters) for every turbine.
+
+    The fleet is cut into fixed 64-turbine chunks; with ``workers > 1`` the
+    chunks run on one forked pool.  Each chunk's sums are the same wherever
+    it runs, so every reduction is bit-identical at any worker count.
+    """
+    bad = [r.id for r in turbines
+           if not (grid.lons[0] <= r.lon <= grid.lons[-1]
+                   and grid.lats[0] <= r.lat <= grid.lats[-1])]
+    if bad:
+        shown = ", ".join(bad[:10])
+        more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
+        raise DataError(f"turbines outside wind grid: {shown}{more}")
+    areas = []
+    for r in turbines:
+        if r.rotor_diameter is None:
+            raise DataError(f"turbine {r.id} has no rotor diameter")
+        areas.append(rotor_swept_area(r.rotor_diameter))
+    shear = 1.5 * np.log10(np.stack([_turbine_heights(turbines, h) for h in height_modes])
+                           / REFERENCE_HEIGHT)
+    cells = np.asarray([cell_weights(grid, r.lon, r.lat) for r in turbines]).reshape(-1, 8)
+    j0, j1, i0, i1 = cells[:, :4].T.astype(np.intp)
+    n_lon = len(grid.lons)
+    nodes = np.stack([j0 * n_lon + i0, j0 * n_lon + i1, j1 * n_lon + i0, j1 * n_lon + i1],
+                     axis=1)
+    inputs = _PassInputs(grid, nodes, cells[:, 4:], shear, _block_bounds(grid, *stamps))
+    parts = _map_chunks(inputs, workers)
+    sums = (np.concatenate([s for s, _ in parts], axis=2) if parts
+            else np.zeros((len(shear), len(inputs.bounds) - 1, 0)))
+    return CubeSums(grid, turbines, inputs.bounds, sums, sum(c for _, c in parts),
+                    0.5 * RHO * np.asarray(areas, dtype=np.float64))
+
+
+def pin_series(grid: WindGrid, fleet: Fleet, periods,
+               height_mode="hub", climate_mode: str = "actual",
+               study_span: tuple[int, int] | None = None,
+               workers: int = 1) -> list[float]:
+    """``aggregate_pin`` for each of ``periods``, all from one kernel pass."""
+    _check_climate_mode(climate_mode)
+    periods = list(periods)
+    if not fleet.turbines or not periods:
+        return [0.0] * len(periods)
+    stamps = [_stamp_slice(grid, *period_bounds(p)) for p in periods]
+    if climate_mode == "actual":
+        span = min(k0 for k0, _ in stamps), max(k1 for _, k1 in stamps)
+    else:
+        span = _study_slice(grid, study_span)
+    sums = cube_sums(grid, fleet.turbines, [height_mode], span, workers)
+    return [sums.fleet_pin(0, p, climate_mode) for p in periods]
 
 
 def aggregate_pin(grid: WindGrid, fleet: Fleet, period,
@@ -336,60 +374,55 @@ def aggregate_pin(grid: WindGrid, fleet: Fleet, period,
     mean over ``study_span`` (whole grid coverage when not given).  Turbines
     in their commissioning year contribute with weight 0.5.
     """
-    _check_climate_mode(climate_mode)
-    turbines = fleet.turbines
-    start_ts, end_ts = period_bounds(period)
-    if not turbines:
-        return 0.0
-    cells, areas, heights = _prepare_task(grid, turbines, height_mode)
-    k0, k1 = _stamp_slice(grid, start_ts, end_ts)
-    year = period_year(period)
-    weights = np.asarray([operating_weight(r, year) for r in turbines])
-
-    if climate_mode == "long_term_average":
-        sk0, sk1 = _study_slice(grid, study_span)
-        mean_cube, calm = _mean_cube_array(grid, cells, areas, heights, sk0, sk1, workers)
-        note_calm_events(calm)
-        total, _ = _weighted_total(grid, cells, areas, heights, weights,
-                                   k0, k1, mean_cube, workers)
-    else:
-        total, calm = _weighted_total(grid, cells, areas, heights, weights,
-                                      k0, k1, None, workers)
-        note_calm_events(calm)
-    return float(total)
+    return pin_series(grid, fleet, [period], height_mode, climate_mode,
+                      study_span, workers)[0]
 
 
 def annual_pin_series(grid: WindGrid, fleet: Fleet, years,
                       height_mode="hub", climate_mode: str = "actual",
                       study_span: tuple[int, int] | None = None,
                       workers: int = 1) -> AnnualSeries:
-    """Per-year ``aggregate_pin`` values; the long-term climate mean is
-    computed once and reused across years."""
-    _check_climate_mode(climate_mode)
+    """Per-year ``aggregate_pin`` values from one kernel pass."""
     ys = list(years)
     if not ys:
         raise ValueError("years must be nonempty")
-    turbines = fleet.turbines
-    if not turbines:
-        return AnnualSeries(ys[0], [0.0] * len(ys), "W")
-    cells, areas, heights = _prepare_task(grid, turbines, height_mode)
+    return AnnualSeries(ys[0], pin_series(grid, fleet, ys, height_mode, climate_mode,
+                                          study_span, workers), "W")
 
-    mean_cube = None
-    if climate_mode == "long_term_average":
-        sk0, sk1 = _study_slice(grid, study_span)
-        mean_cube, calm = _mean_cube_array(grid, cells, areas, heights, sk0, sk1, workers)
-        note_calm_events(calm)
 
-    values = []
-    for y in ys:
-        k0, k1 = _stamp_slice(grid, *period_bounds(y))
-        weights = np.asarray([operating_weight(r, y) for r in turbines])
-        total, calm = _weighted_total(grid, cells, areas, heights, weights,
-                                      k0, k1, mean_cube, workers)
-        if mean_cube is None:
-            note_calm_events(calm)
-        values.append(float(total))
-    return AnnualSeries(ys[0], values, "W")
+@dataclass
+class ReportPin:
+    """The fleet input power series of a report, reduced from one pass at
+    hub height and the reference height over the study years."""
+
+    #: hub height, actual wind, per year
+    annual: AnnualSeries
+    #: hub height, long-term average over the study years
+    annual_avg: AnnualSeries
+    #: reference height, long-term average over the study years
+    annual_ref_avg: AnnualSeries
+    #: hub height, actual wind, per calendar month of the study years
+    monthly: list[float]
+    #: calm turbine-hours over the study years
+    calm_hours: int
+
+
+def report_pin(grid: WindGrid, fleet: Fleet, years, reference_height: float,
+               workers: int = 1) -> ReportPin:
+    """Every P_in series of a report from one kernel pass over ``years``."""
+    ys = list(years)
+    sums = cube_sums(grid, fleet.turbines, ["hub", reference_height],
+                     _study_slice(grid, (ys[0], ys[-1])), workers)
+
+    def annual(height: int, climate_mode: str) -> AnnualSeries:
+        return AnnualSeries(ys[0], [sums.fleet_pin(height, y, climate_mode) for y in ys],
+                            "W")
+
+    return ReportPin(annual=annual(0, "actual"),
+                     annual_avg=annual(0, "long_term_average"),
+                     annual_ref_avg=annual(1, "long_term_average"),
+                     monthly=[sums.fleet_pin(0, (y, m)) for y in ys for m in range(1, 13)],
+                     calm_hours=sums.calm_hours)
 
 
 # ---------------------------------------------------------------------------

@@ -198,17 +198,16 @@ def generate_generation(fleet: Fleet, grid: WindGrid, true_efficiency,
     inclusive (start_year, end_year) pair.  Monthly energy is
     efficiency(year) · monthly input power · hours, in MWh.
     """
-    from .powerflux import aggregate_pin, hours_in_period
+    from .powerflux import hours_in_period, pin_series
 
+    months = [(year, month) for year in range(period[0], period[1] + 1)
+              for month in range(1, 13)]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["year", "month", "net_generation_mwh"])
-    for year in range(period[0], period[1] + 1):
-        eff = true_efficiency(year)
-        for month in range(1, 13):
-            p_in = aggregate_pin(grid, fleet, (year, month))
-            energy_mwh = eff * p_in * hours_in_period((year, month)) / 1e6
-            writer.writerow([year, month, repr(float(energy_mwh))])
+    for (year, month), p_in in zip(months, pin_series(grid, fleet, months)):
+        energy_mwh = true_efficiency(year) * p_in * hours_in_period((year, month)) / 1e6
+        writer.writerow([year, month, repr(float(energy_mwh))])
     return out.getvalue().encode("utf-8")
 
 

@@ -28,8 +28,9 @@ REFERENCE_HEIGHT = 100.0
 
 _HEADER = struct.Struct("<4s4I2q")
 
-# Calm-air events (zero wind speed makes the shear exponent undefined; the
-# fallback is zero shear).  Best-effort diagnostics, mutated single-threaded.
+# Calm-air events of the scalar path (zero wind speed makes the shear
+# exponent undefined; the fallback is zero shear).  Best-effort diagnostics,
+# mutated single-threaded; the powerflux kernel pass returns its own count.
 _calm_events = 0
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from windfleet import powerflux
 from windfleet.cli import main
 from windfleet.pipeline import load_config_file, parse_scenario
 from windfleet.errors import ConfigError
@@ -88,7 +89,7 @@ class TestReportCommand:
         out = tmp_path / "out"
         assert run_report(fixture_dir, out) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["series"]["efficiency"]["values"] == pytest.approx(
             [0.3, 0.297], rel=1e-9)
         assert (out / "series.csv").is_file()
@@ -103,6 +104,18 @@ class TestReportCommand:
         assert names == sorted(p.name for p in out2.iterdir())
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_pooled_worker_counts_byte_identical(self, tmp_path):
+        bundle = tmp_path / "pooled"  # three 64-turbine chunks, so workers > 1 fork a pool
+        assert main(["synth", "--out", str(bundle), "--n-turbines", "130",
+                     "--years", "2010:2011", "--wind", "noise:7,3", "--seed", "9"]) == 0
+        outs = {}
+        for workers in (1, 2, 4):
+            out = tmp_path / f"w{workers}"
+            assert main(["report", "--config", str(bundle / "run.conf"),
+                         "--out", str(out), "--workers", str(workers)]) == 0
+            outs[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert outs[1] == outs[2] == outs[4]
 
     def test_repeated_runs_reproducible(self, fixture_dir, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -163,6 +176,36 @@ class TestReportCommand:
         code = run_report(fixture_dir, out, ["--base-year", "2031"])
         assert code == 2
         assert not out.exists() or not any(out.iterdir())
+
+    def test_one_year_study_rejected_before_compute(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_report(fixture_dir, out, ["--start-year", "2011", "--end-year", "2011",
+                                             "--base-year", "2011"])
+        assert code == 2
+        assert "at least two years" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_kernel_pass_per_report(self, fixture_dir, tmp_path, monkeypatch):
+        passes = []
+        map_chunks = powerflux._map_chunks
+
+        def counting(inputs, workers):
+            passes.append(len(inputs.nodes) * int(inputs.bounds[-1] - inputs.bounds[0]))
+            return map_chunks(inputs, workers)
+
+        monkeypatch.setattr(powerflux, "_map_chunks", counting)
+        assert run_report(fixture_dir, tmp_path / "out", ["--workers", "2"]) == 0
+        assert passes == [10 * 17520]  # every study turbine-hour, once
+
+    def test_calm_hours_count_turbine_hours_once(self, tmp_path):
+        bundle = tmp_path / "calm"
+        assert main(["synth", "--out", str(bundle), "--n-turbines", "10",
+                     "--years", "2010:2011", "--wind", "constant:0,8"]) == 0
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(bundle / "run.conf"),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["events"]["calm_hours"] == 10 * 17520
 
     def test_pre_2010_years_flagged_low_confidence(self, tmp_path):
         bundle = tmp_path / "old"

@@ -3,16 +3,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import const_grid, fleet_of, grid_from_field, turbine
+from windfleet import powerflux
 from windfleet.errors import DataError
 from windfleet.powerflux import (BETZ_LIMIT, RHO, BetzLimitWarning,
                                  MonthlySeries, PowerAggregates, aggregate_pin,
-                                 annual_pin_series, capacity_factor,
+                                 annual_pin_series, capacity_factor, cube_sums,
                                  hours_in_period, input_power_density,
                                  kinetic_power, output_power_density,
                                  parse_generation_csv, period_bounds,
                                  pout_series, system_efficiency)
+from windfleet.synth import brute_force_pin
 
 UNIT_ROTOR = 2.0 / math.sqrt(math.pi)  # swept area exactly ~1 m²
 
@@ -157,18 +161,61 @@ class TestAggregatePin:
         serial = aggregate_pin(grid, fleet, (2010, 1), workers=1)
         parallel = aggregate_pin(grid, fleet, (2010, 1), workers=3)
         assert serial == parallel  # bitwise
+        assert powerflux._worker_inputs is None  # bound only inside pool workers
 
     def test_calm_hours_counted(self):
-        from windfleet.windgrid import calm_fallback_count, reset_calm_fallback_count
         u10 = np.full((744, 2, 2), 5.0)
         u10[:3] = 0.0  # three calm hours
         grid = grid_from_field(u10, np.zeros_like(u10), u10, np.zeros_like(u10),
                                lons=[-100.0, -95.0], lats=[35.0, 40.0])
         fleet = fleet_of([turbine("A", year=2009)])
-        reset_calm_fallback_count()
-        aggregate_pin(grid, fleet, (2010, 1))
-        assert calm_fallback_count() == 3
-        reset_calm_fallback_count()
+        sums = cube_sums(grid, fleet.turbines, ["hub", 76.0], (0, 744))
+        assert sums.calm_hours == 3  # once per turbine-hour, not per height
+
+
+@st.composite
+def oracle_instances(draw):
+    """Small daily grids over January-February 2010 with nonzero v
+    components, calm stamps at 10 m, 100 m or both, single-node axes, and
+    turbines on nodes, on grid edges or anywhere inside."""
+    def axis(start):
+        steps = draw(st.lists(st.floats(0.5, 3.0), min_size=0, max_size=2))
+        return start + np.concatenate([[0.0], np.cumsum(steps)])
+
+    lons, lats = axis(-100.0), axis(35.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u10, v10, u100, v100 = rng.uniform(-25.0, 25.0, (4, 59, len(lats), len(lons)))
+    calm = draw(st.lists(st.tuples(st.integers(0, 58), st.sampled_from(["10", "100", "both"])),
+                         max_size=12))
+    for k, height in calm:
+        for u, v, h in ((u10, v10, "10"), (u100, v100, "100")):
+            if height in (h, "both"):
+                u[k] = v[k] = 0.0
+    grid = grid_from_field(u10, v10, u100, v100, lons=lons, lats=lats, step=86400)
+
+    def coordinate(ax):
+        return draw(st.one_of(st.sampled_from(list(ax)), st.floats(ax[0], ax[-1])))
+
+    recs = [turbine(f"T{i}", lon=coordinate(lons), lat=coordinate(lats),
+                    year=draw(st.sampled_from([2009, 2010, 2011])),
+                    hub=draw(st.floats(30.0, 200.0)), rotor=draw(st.floats(20.0, 150.0)))
+            for i in range(draw(st.integers(1, 5)))]
+    return grid, fleet_of(recs)
+
+
+class TestPassMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_instances())
+    def test_all_modes_within_1e9(self, instance):
+        grid, fleet = instance
+        for height, climate in (("hub", "actual"), ("hub", "long_term_average"),
+                                (76.0, "long_term_average")):
+            fast = aggregate_pin(grid, fleet, (2010, 1), height, climate)
+            slow = brute_force_pin(grid, fleet, (2010, 1), height, climate)
+            if slow == 0.0:
+                assert fast == 0.0
+            else:
+                assert abs(fast - slow) <= 1e-9 * slow, (height, climate, fast, slow)
 
 
 class TestGenerationCsv:
