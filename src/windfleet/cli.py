@@ -132,11 +132,10 @@ def _cmd_synth(args) -> int:
 
     turbine_bytes = synth.generate_fleet(spec, args.seed)
     (out / "turbines.csv").write_bytes(turbine_bytes)
-    grid_bytes = synth.generate_windgrid(spec, args.seed + 1)
-    (out / "wind.wgrd").write_bytes(grid_bytes)
+    grid = synth.make_windgrid(spec, args.seed + 1)
+    windgrid.write_windgrid(grid, out / "wind.wgrd")
 
     fleet = fleet_mod.preprocess(fleet_mod.parse_turbine_csv(turbine_bytes), set())
-    grid = windgrid.grid_from_bytes(grid_bytes)
     gen_bytes = synth.generate_generation(fleet, grid, spec.true_efficiency, spec.years)
     (out / "generation.csv").write_bytes(gen_bytes)
 
@@ -233,7 +232,7 @@ def _cmd_trends(args) -> int:
     if args.efficiency and args.density:
         e = _read_series_csv(args.efficiency)
         d = _read_series_csv(args.density)
-        counterfactual = trends.counterfactual_efficiency(e, d)
+        counterfactual = trends.counterfactual_efficiency(e, d).series
         fit = trends.ols_fit(list(counterfactual.years), counterfactual.values)
         payload = {"counterfactual": pipeline._fit_json(fit)}
         if args.out_csv:

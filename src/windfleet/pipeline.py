@@ -213,7 +213,6 @@ class ReportBundle:
 def run_pipeline(config: RunConfig) -> ReportBundle:
     """Execute every stage and write the report bundle; see module docs."""
     config.check()
-    trends.reset_counterfactual_fallback_count()
     years = config.years
     year_list = list(years)
 
@@ -285,9 +284,10 @@ def run_pipeline(config: RunConfig) -> ReportBundle:
             "input_power_density": trends.ols_fit(year_list, density_in.values),
             "efficiency": trends.ols_fit(year_list, efficiency.values),
         }
-        counterfactual = None
+        counterfactual, fallbacks = None, 0
         if len(year_list) >= 3:
-            counterfactual = trends.counterfactual_efficiency(efficiency, density_in)
+            counterfactual, fallback = trends.counterfactual_efficiency(efficiency, density_in)
+            fallbacks = int(fallback)
             fits["counterfactual_efficiency"] = trends.ols_fit(
                 year_list, counterfactual.values)
         monthly_eff = [powerflux.system_efficiency(po, pi)
@@ -387,7 +387,7 @@ def run_pipeline(config: RunConfig) -> ReportBundle:
         },
         "events": {
             "calm_hours": pins.calm_hours,
-            "counterfactual_fallbacks": trends.counterfactual_fallback_count(),
+            "counterfactual_fallbacks": fallbacks,
         },
     }
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DataError
 from .fleet import Fleet, TurbineRecord, operating_weight, rotor_swept_area
 from .series import AnnualSeries
-from .windgrid import REFERENCE_HEIGHT, WindGrid, cell_weights
+from .windgrid import REFERENCE_HEIGHT, WindGrid, cell_weights, stamp_blocks
 
 #: air density, kg/m³ (constant; not configurable)
 RHO = 1.225
@@ -118,16 +118,17 @@ class _PassInputs:
     bounds: np.ndarray
 
 
-def _speed_squared(grid: WindGrid, u: str, v: str, k0: int, k1: int,
+def _speed_squared(read, u: str, v: str, k0: int, k1: int,
                    nodes: np.ndarray, local: np.ndarray, corners: np.ndarray) -> np.ndarray:
     """u² + v² of the bilinear blend at each chunk turbine, [turbine, stamp].
 
-    Only the chunk's ``nodes`` are read, lifted from f32 to f64 and laid out
+    ``read`` is a ``windgrid.stamp_blocks`` reader.  Of each block only the
+    chunk's ``nodes`` are taken, lifted from f32 to f64 and laid out
     time-contiguous; ``local`` indexes them per turbine corner.
     """
     squares = []
     for name in (u, v):
-        x = grid.variable(name)[k0:k1].reshape(k1 - k0, -1)
+        x = read(name, k0, k1)
         series = np.ascontiguousarray(np.take(x, nodes, axis=1).T, dtype=np.float64)
         blend = np.einsum("nct,nc->nt", np.take(series, local, axis=0), corners)
         squares.append(np.multiply(blend, blend, out=blend))
@@ -144,32 +145,33 @@ def _chunk_cube_sums(inputs: _PassInputs, chunk: tuple[int, int]) -> tuple[np.nd
     or q100 = 0) takes zero shear: q100^1.5, which is 0 when q100 = 0.
     """
     a, b = chunk
-    grid, shear, corners = inputs.grid, inputs.shear[:, a:b, None], inputs.corners[a:b]
+    shear, corners = inputs.shear[:, a:b, None], inputs.corners[a:b]
     nodes, local = np.unique(inputs.nodes[a:b], return_inverse=True)
     local = local.reshape(b - a, 4)
     edges = inputs.bounds
     out = np.empty((len(shear), len(edges) - 1, b - a))
     calm = 0
-    for col in range(len(edges) - 1):
-        k0, k1 = edges[col], edges[col + 1]
-        q10 = _speed_squared(grid, "u10", "v10", k0, k1, nodes, local, corners)
-        q100 = _speed_squared(grid, "u100", "v100", k0, k1, nodes, local, corners)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ln100 = np.log(q100, out=q100)
-            diff = np.log(q10, out=q10)
-            np.subtract(ln100, diff, out=diff)
-        finite = np.isfinite(diff)
-        n_calm = diff.size - int(np.count_nonzero(finite))
-        if n_calm:
-            diff[~finite] = 0.0
-            calm += n_calm
-        ln100 *= 1.5
-        cube = np.empty_like(diff)
-        for h, k in enumerate(shear):
-            np.multiply(diff, k, out=cube)
-            cube += ln100
-            np.exp(cube, out=cube)
-            out[h, col] = cube.sum(axis=1)
+    with stamp_blocks(inputs.grid, int(np.diff(edges).max(initial=0))) as read:
+        for col in range(len(edges) - 1):
+            k0, k1 = edges[col], edges[col + 1]
+            q10 = _speed_squared(read, "u10", "v10", k0, k1, nodes, local, corners)
+            q100 = _speed_squared(read, "u100", "v100", k0, k1, nodes, local, corners)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ln100 = np.log(q100, out=q100)
+                diff = np.log(q10, out=q10)
+                np.subtract(ln100, diff, out=diff)
+            finite = np.isfinite(diff)
+            n_calm = diff.size - int(np.count_nonzero(finite))
+            if n_calm:
+                diff[~finite] = 0.0
+                calm += n_calm
+            ln100 *= 1.5
+            cube = np.empty_like(diff)
+            for h, k in enumerate(shear):
+                np.multiply(diff, k, out=cube)
+                cube += ln100
+                np.exp(cube, out=cube)
+                out[h, col] = cube.sum(axis=1)
     return out, calm
 
 

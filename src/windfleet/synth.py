@@ -154,8 +154,8 @@ def _speeds_at(model: WindModel, rng: SplitMix64, hour_index: int) -> tuple[floa
     return 0.8 * v100, v100
 
 
-def generate_windgrid(spec: SynthSpec, seed: int) -> bytes:
-    """WGRD bytes covering the requested years hourly on the requested grid."""
+def make_windgrid(spec: SynthSpec, seed: int) -> WindGrid:
+    """Wind grid covering the requested years hourly on the requested grid."""
     rng = SplitMix64(seed)
     lon0, lon1, lat0, lat1 = spec.bbox
     lons = np.linspace(lon0, lon1, spec.n_lon)
@@ -184,9 +184,13 @@ def generate_windgrid(spec: SynthSpec, seed: int) -> bytes:
                     u10[k, j, i] = v10
                     u100[k, j, i] = v100
     zeros = np.zeros(shape, dtype=np.float32)
-    grid = WindGrid(lons=lons, lats=lats, t0=t0, step=3600,
-                    u10=u10, v10=zeros, u100=u100, v100=zeros.copy())
-    return grid_to_bytes(grid)
+    return WindGrid(lons=lons, lats=lats, t0=t0, step=3600,
+                    u10=u10, v10=zeros, u100=u100, v100=zeros)
+
+
+def generate_windgrid(spec: SynthSpec, seed: int) -> bytes:
+    """WGRD bytes of ``make_windgrid``."""
+    return grid_to_bytes(make_windgrid(spec, seed))
 
 
 def generate_generation(fleet: Fleet, grid: WindGrid, true_efficiency,

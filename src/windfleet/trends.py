@@ -5,22 +5,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .series import AnnualSeries, check_aligned
 
 log = logging.getLogger(__name__)
-
-# Counterfactual calls that hit the degenerate constant-density fallback.
-_fallback_events = 0
-
-
-def counterfactual_fallback_count() -> int:
-    return _fallback_events
-
-
-def reset_counterfactual_fallback_count() -> None:
-    global _fallback_events
-    _fallback_events = 0
 
 
 @dataclass
@@ -66,27 +55,31 @@ def trend_slope(series: AnnualSeries) -> float:
     return ols_fit(list(series.years), series.values).slope
 
 
-def counterfactual_efficiency(e: AnnualSeries, d_in: AnnualSeries) -> AnnualSeries:
+class Counterfactual(NamedTuple):
+    series: AnnualSeries
+    #: the input density was constant, so ``series`` is the observed efficiency
+    fallback: bool
+
+
+def counterfactual_efficiency(e: AnnualSeries, d_in: AnnualSeries) -> Counterfactual:
     """Efficiency series under the hypothetical of constant input density.
 
     Regress efficiency on input density, then replace each year's density by
     the period mean while keeping the year's residual: the counterfactual
     removes only the density-explained part, so its mean equals the observed
     mean.  A constant density makes the regression degenerate; the observed
-    series is returned unchanged and the event is counted.
+    series is returned unchanged with ``fallback`` set.
     """
-    global _fallback_events
     check_aligned(e, d_in)
     if len(e) < 3:
         raise ValueError("need at least three years")
     dbar = sum(d_in.values) / len(d_in)
     if all(v == d_in.values[0] for v in d_in.values):
-        _fallback_events += 1
         log.warning("input density is constant; counterfactual equals observed efficiency")
-        return AnnualSeries(e.start_year, list(e.values), e.unit)
+        return Counterfactual(AnnualSeries(e.start_year, list(e.values), e.unit), True)
     fit = ols_fit(d_in.values, e.values)
     values = [ev - fit.slope * (dv - dbar) for ev, dv in zip(e.values, d_in.values)]
-    return AnnualSeries(e.start_year, values, e.unit)
+    return Counterfactual(AnnualSeries(e.start_year, values, e.unit), False)
 
 
 def pearson(x, y) -> float:

@@ -6,6 +6,10 @@ seconds UTC), i64 step seconds, then the ascending f64 latitude and longitude
 axes, then four f32 payload arrays ``u10, v10, u100, v100`` laid out
 [time][lat][lon] row-major.  Payload is stored as 32-bit floats; all
 arithmetic on it is done in 64-bit.
+
+A loaded WGRD payload stays on disk: ``load_windgrid`` checks it in bounded
+reads and maps it read-only, and ``stamp_blocks`` reads it one stamp block
+per variable, so memory does not grow with the file size.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,31 +33,42 @@ VARIABLES = ("u10", "v10", "u100", "v100")
 REFERENCE_HEIGHT = 100.0
 
 _HEADER = struct.Struct("<4s4I2q")
-
-# Calm-air events of the scalar path (zero wind speed makes the shear
-# exponent undefined; the fallback is zero shear).  Best-effort diagnostics,
-# mutated single-threaded; the powerflux kernel pass returns its own count.
-_calm_events = 0
+#: payload values checked per read while loading a WGRD file (4 MB)
+_CHECK_VALUES = 1 << 20
 
 
-def calm_fallback_count() -> int:
-    return _calm_events
+@dataclass(frozen=True)
+class GridFile:
+    """The WGRD file behind a loaded grid and the file state that
+    ``load_windgrid`` validated."""
 
+    path: str
+    #: byte offset of the first payload value
+    offset: int
+    size: int
+    mtime_ns: int
+    dev: int
+    ino: int
 
-def reset_calm_fallback_count() -> None:
-    global _calm_events
-    _calm_events = 0
-
-
-def note_calm_events(n: int) -> None:
-    """Register calm-air fallbacks observed by a bulk evaluation."""
-    global _calm_events
-    _calm_events += int(n)
+    def open(self) -> int:
+        """A read-only descriptor on the file, after checking that it is
+        still the file that was validated."""
+        fd = os.open(self.path, os.O_RDONLY)
+        st = os.fstat(fd)
+        if (st.st_size, st.st_mtime_ns, st.st_dev, st.st_ino) != \
+                (self.size, self.mtime_ns, self.dev, self.ino):
+            os.close(fd)
+            raise DataError(f"wind grid file {self.path} changed after it was loaded")
+        return fd
 
 
 @dataclass
 class WindGrid:
-    """Hourly u/v wind components at 10 m and 100 m on a regular lon/lat grid."""
+    """Hourly u/v wind components at 10 m and 100 m on a regular lon/lat grid.
+
+    A grid from ``load_windgrid`` holds read-only maps of its file's payload
+    and names the file in ``source``; other grids hold arrays in memory.
+    """
 
     lons: np.ndarray
     lats: np.ndarray
@@ -61,6 +78,7 @@ class WindGrid:
     v10: np.ndarray
     u100: np.ndarray
     v100: np.ndarray
+    source: GridFile | None = None
 
     @property
     def n_time(self) -> int:
@@ -72,75 +90,153 @@ class WindGrid:
         return getattr(self, name)
 
     def validate(self) -> None:
-        if self.step <= 0:
-            raise DataError("grid step must be positive")
-        for axis, name in ((self.lons, "lons"), (self.lats, "lats")):
-            if axis.ndim != 1 or len(axis) < 1:
-                raise DataError(f"{name} axis must be a nonempty vector")
-            if np.any(np.diff(axis) <= 0):
-                raise DataError(f"{name} axis must be strictly ascending")
+        _check_layout(self.step, self.n_time, self.lats, self.lons)
         shape = (self.n_time, len(self.lats), len(self.lons))
         for name in VARIABLES:
             arr = self.variable(name)
             if arr.shape != shape:
                 raise DataError(f"variable {name} has shape {arr.shape}, expected {shape}")
-            if not np.isfinite(arr).all():
-                raise DataError(f"variable {name} contains non-finite values")
-        if self.n_time < 1:
-            raise DataError("grid must contain at least one time step")
+            _check_finite(name, arr)
+
+
+def _check_layout(step: int, n_time: int, lats: np.ndarray, lons: np.ndarray) -> None:
+    if step <= 0:
+        raise DataError("grid step must be positive")
+    for axis, name in ((lons, "lons"), (lats, "lats")):
+        if axis.ndim != 1 or len(axis) < 1:
+            raise DataError(f"{name} axis must be a nonempty vector")
+        if not np.isfinite(axis).all():
+            raise DataError(f"{name} axis contains non-finite values")
+        if np.any(np.diff(axis) <= 0):
+            raise DataError(f"{name} axis must be strictly ascending")
+    if n_time < 1:
+        raise DataError("grid must contain at least one time step")
+
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise DataError(f"variable {name} contains non-finite values")
+
+
+def _write_grid(grid: WindGrid, fh) -> None:
+    grid.validate()
+    fh.write(_HEADER.pack(MAGIC, VERSION, grid.n_time, len(grid.lats),
+                          len(grid.lons), grid.t0, grid.step))
+    fh.write(np.ascontiguousarray(grid.lats, dtype="<f8"))
+    fh.write(np.ascontiguousarray(grid.lons, dtype="<f8"))
+    for name in VARIABLES:
+        fh.write(np.ascontiguousarray(grid.variable(name), dtype="<f4"))
 
 
 def grid_to_bytes(grid: WindGrid) -> bytes:
-    grid.validate()
     out = io.BytesIO()
-    out.write(_HEADER.pack(MAGIC, VERSION, grid.n_time, len(grid.lats),
-                           len(grid.lons), grid.t0, grid.step))
-    out.write(np.ascontiguousarray(grid.lats, dtype="<f8").tobytes())
-    out.write(np.ascontiguousarray(grid.lons, dtype="<f8").tobytes())
-    for name in VARIABLES:
-        out.write(np.ascontiguousarray(grid.variable(name), dtype="<f4").tobytes())
+    _write_grid(grid, out)
     return out.getvalue()
 
 
 def write_windgrid(grid: WindGrid, path) -> None:
+    """Write ``grid`` as a WGRD file, one variable at a time."""
     with open(path, "wb") as fh:
-        fh.write(grid_to_bytes(grid))
+        _write_grid(grid, fh)
 
 
-def grid_from_bytes(data: bytes) -> WindGrid:
-    if len(data) < _HEADER.size:
+def _read_header(head: bytes, size: int) -> tuple[int, int, int, int, int]:
+    """(n_time, n_lat, n_lon, t0, step) of a WGRD file of ``size`` bytes that
+    starts with ``head``; the size must be exactly what the header declares."""
+    if len(head) < _HEADER.size:
         raise DataError("truncated WGRD header")
-    magic, version, n_time, n_lat, n_lon = _HEADER.unpack_from(data)[:5]
-    t0, step = _HEADER.unpack_from(data)[5:]
+    magic, version, n_time, n_lat, n_lon, t0, step = _HEADER.unpack_from(head)
     if magic != MAGIC:
         raise DataError(f"bad magic {magic!r}, not a WGRD file")
     if version != VERSION:
         raise DataError(f"unsupported WGRD version {version}")
-    n_cells = n_time * n_lat * n_lon
-    expected = _HEADER.size + 8 * (n_lat + n_lon) + 4 * len(VARIABLES) * n_cells
-    if len(data) < expected:
-        raise DataError(f"truncated WGRD payload: {len(data)} bytes, expected {expected}")
-    if len(data) > expected:
-        raise DataError(f"trailing bytes in WGRD file: {len(data)} bytes, expected {expected}")
+    expected = (_HEADER.size + 8 * (n_lat + n_lon)
+                + 4 * len(VARIABLES) * n_time * n_lat * n_lon)
+    if size < expected:
+        raise DataError(f"truncated WGRD payload: {size} bytes, expected {expected}")
+    if size > expected:
+        raise DataError(f"trailing bytes in WGRD file: {size} bytes, expected {expected}")
+    return n_time, n_lat, n_lon, t0, step
 
-    offset = _HEADER.size
-    lats = np.frombuffer(data, "<f8", n_lat, offset).copy()
-    offset += 8 * n_lat
-    lons = np.frombuffer(data, "<f8", n_lon, offset).copy()
-    offset += 8 * n_lon
-    arrays = {}
-    for name in VARIABLES:
-        arr = np.frombuffer(data, "<f4", n_cells, offset).copy()
-        arrays[name] = arr.reshape(n_time, n_lat, n_lon)
-        offset += 4 * n_cells
-    grid = WindGrid(lons=lons, lats=lats, t0=t0, step=step, **arrays)
+
+def grid_from_bytes(data: bytes) -> WindGrid:
+    """A validated grid whose arrays are read-only views of ``data``."""
+    n_time, n_lat, n_lon, t0, step = _read_header(data, len(data))
+    axes = np.frombuffer(data, "<f8", n_lat + n_lon, _HEADER.size)
+    payload = np.frombuffer(data, "<f4", offset=_HEADER.size + axes.nbytes)
+    grid = WindGrid(lons=axes[n_lat:], lats=axes[:n_lat], t0=t0, step=step,
+                    **dict(zip(VARIABLES, payload.reshape(-1, n_time, n_lat, n_lon))))
     grid.validate()
     return grid
 
 
 def load_windgrid(path) -> WindGrid:
+    """Validate a WGRD file and return a grid whose variables are read-only
+    maps of its payload.
+
+    The header, the size and the axes are checked as in ``grid_from_bytes``;
+    the payload is streamed once through one reused buffer and every value
+    must be finite.  Nothing of the payload stays in memory.
+    """
     with open(path, "rb") as fh:
-        return grid_from_bytes(fh.read())
+        st = os.fstat(fh.fileno())
+        n_time, n_lat, n_lon, t0, step = _read_header(fh.read(_HEADER.size), st.st_size)
+        axes = np.frombuffer(fh.read(8 * (n_lat + n_lon)), "<f8")
+        lats, lons = axes[:n_lat], axes[n_lat:]
+        _check_layout(step, n_time, lats, lons)
+        offset = fh.tell()
+        n_cells = n_time * n_lat * n_lon
+        buf = np.empty(min(n_cells, _CHECK_VALUES), dtype="<f4")
+        for name in VARIABLES:
+            for start in range(0, n_cells, len(buf)):
+                part = buf[:min(len(buf), n_cells - start)]
+                if fh.readinto(part) != part.nbytes:
+                    raise DataError(f"WGRD file {path} shrank while it was read")
+                _check_finite(name, part)
+        payload = np.memmap(fh, dtype="<f4", mode="r", offset=offset,
+                            shape=(len(VARIABLES), n_time, n_lat, n_lon))
+    source = GridFile(os.path.abspath(path), offset, st.st_size, st.st_mtime_ns,
+                      st.st_dev, st.st_ino)
+    return WindGrid(lons=lons, lats=lats, t0=t0, step=step, source=source,
+                    **dict(zip(VARIABLES, payload)))
+
+
+def _pread_into(fd: int, out: np.ndarray, offset: int) -> None:
+    view = memoryview(out).cast("B")
+    while view:
+        n = os.preadv(fd, [view], offset)
+        if n == 0:
+            raise DataError("wind grid file shrank after it was loaded")
+        view, offset = view[n:], offset + n
+
+
+@contextmanager
+def stamp_blocks(grid: WindGrid, max_stamps: int):
+    """Yield ``read(name, k0, k1)``: stamps [k0, k1) of one variable as a
+    [stamp, node] f32 array, for k1 - k0 <= ``max_stamps``.
+
+    An in-memory grid is sliced.  A file-backed grid is read with one
+    positioned read per call into one buffer that every call reuses, so a
+    returned block is valid until the next call.  The file is opened once
+    and must still be the file that ``load_windgrid`` validated.
+    """
+    if grid.source is None:
+        yield lambda name, k0, k1: grid.variable(name)[k0:k1].reshape(k1 - k0, -1)
+        return
+    n_nodes = len(grid.lats) * len(grid.lons)
+    buf = np.empty((max_stamps, n_nodes), dtype="<f4")
+    fd = grid.source.open()
+
+    def read(name: str, k0: int, k1: int) -> np.ndarray:
+        block = buf[:k1 - k0]
+        stamp = VARIABLES.index(name) * grid.n_time + k0
+        _pread_into(fd, block, grid.source.offset + stamp * buf.itemsize * n_nodes)
+        return block
+
+    try:
+        yield read
+    finally:
+        os.close(fd)
 
 
 def _axis_cell(axis: np.ndarray, x: float, name: str) -> tuple[int, int, float]:
@@ -192,11 +288,10 @@ def shear_exponent(v10: float, v100: float) -> float:
     """Power-law exponent from the speeds at the two reference heights.
 
     alpha = log(v100/v10) / log(100/10).  Calm air (either speed zero) makes
-    the logarithm undefined; the fallback is zero shear, and the event is
-    counted (it contributes zero power anyway).
+    the logarithm undefined; the fallback is zero shear, so every height
+    gets the 100 m speed.
     """
     if v10 <= 0.0 or v100 <= 0.0:
-        note_calm_events(1)
         return 0.0
     return math.log10(v100 / v10)
 

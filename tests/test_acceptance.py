@@ -168,12 +168,12 @@ def test_06_counterfactual_contract():
         n = rng.randint(3, 15)
         e = AnnualSeries(2010, [rng.uniform(0.1, 0.5) for _ in range(n)], "dimensionless")
         d = AnnualSeries(2010, [rng.uniform(200, 600) for _ in range(n)], "W/m²")
-        cf = counterfactual_efficiency(e, d)
+        cf = counterfactual_efficiency(e, d).series
         assert sum(cf.values) / n == pytest.approx(sum(e.values) / n, rel=1e-12)
 
     e = AnnualSeries(2010, [0.31, 0.26, 0.33, 0.30], "dimensionless")
     d_const = AnnualSeries(2010, [400.0] * 4, "W/m²")
-    assert counterfactual_efficiency(e, d_const).values == e.values
+    assert counterfactual_efficiency(e, d_const).series.values == e.values
 
     planted = -0.01 / 3.0
     spec = SynthSpec(n_turbines=4, years=(2010, 2019), n_lat=2, n_lon=2,

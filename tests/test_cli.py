@@ -1,9 +1,13 @@
 import json
+import math
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from windfleet import powerflux
+from windfleet.windgrid import VARIABLES, WindGrid, grid_to_bytes, load_windgrid
 from windfleet.cli import main
 from windfleet.pipeline import load_config_file, parse_scenario
 from windfleet.errors import ConfigError
@@ -55,7 +59,6 @@ class TestConvertGrid:
         out = tmp_path / "grid.wgrd"
         assert main(["convert-grid", "--csv", str(csv_path), "--out", str(out),
                      "--start-time", "2010-01-01"]) == 0
-        from windfleet.windgrid import load_windgrid
         grid = load_windgrid(out)
         assert grid.n_time == 2
         assert grid.t0 == 1262304000
@@ -170,6 +173,30 @@ class TestReportCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 3
         assert "windgrid:" in capsys.readouterr().err
+
+    def test_nan_nowhere_read_fails_before_bundle(self, fixture_dir, tmp_path, capsys):
+        # one more stamp after the study years and one more longitude east
+        # of every turbine; the NaN sits at that stamp and node, which the
+        # pass never reads
+        grid = load_windgrid(fixture_dir / "wind.wgrd")
+        wider = {}
+        for var in VARIABLES:
+            x = grid.variable(var)
+            x = np.concatenate([x, x[-1:]], axis=0)
+            wider[var] = np.concatenate([x, x[:, :, -1:]], axis=2)
+        wider_grid = WindGrid(lons=np.append(grid.lons, grid.lons[-1] + 1.0), lats=grid.lats,
+                              t0=grid.t0, step=grid.step, **wider)
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for name in ("turbines.csv", "generation.csv", "reference.csv", "run.conf"):
+            (bad / name).write_bytes((fixture_dir / name).read_bytes())
+        data = grid_to_bytes(wider_grid)
+        (bad / "wind.wgrd").write_bytes(data[:-4] + struct.pack("<f", math.nan))
+        out = tmp_path / "o"
+        code = main(["report", "--config", str(bad / "run.conf"), "--out", str(out)])
+        assert code == 3
+        assert "variable v100 contains non-finite values" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_failed_run_leaves_no_partial_bundle(self, fixture_dir, tmp_path):
         out = tmp_path / "out"

@@ -1,5 +1,11 @@
+import json
 import math
+import os
 import random
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from windfleet.powerflux import (BETZ_LIMIT, RHO, BetzLimitWarning,
                                  parse_generation_csv, period_bounds,
                                  pout_series, system_efficiency)
 from windfleet.synth import brute_force_pin
+from windfleet.windgrid import grid_to_bytes, load_windgrid, write_windgrid
 
 UNIT_ROTOR = 2.0 / math.sqrt(math.pi)  # swept area exactly ~1 m²
 
@@ -171,6 +178,117 @@ class TestAggregatePin:
         fleet = fleet_of([turbine("A", year=2009)])
         sums = cube_sums(grid, fleet.turbines, ["hub", 76.0], (0, 744))
         assert sums.calm_hours == 3  # once per turbine-hour, not per height
+
+
+class TestFileBackedPass:
+    """The pass reads a loaded grid's file one stamp block per variable."""
+
+    @staticmethod
+    def grid_and_turbines():
+        rng = np.random.default_rng(8)
+        n = 24 * (31 + 28 + 31)  # January to March 2010: three month blocks
+        u10, v10, u100, v100 = rng.uniform(-12.0, 12.0, (4, n, 3, 4))
+        u10[5:9] = v10[5:9] = 0.0  # calm at 10 m
+        grid = grid_from_field(u10, v10, u100, v100, lons=[-100.0, -98.0, -96.0, -95.0],
+                               lats=[35.0, 37.5, 40.0])
+        recs = [turbine(f"T{i}", lon=float(rng.uniform(-100, -95)),
+                        lat=float(rng.uniform(35, 40)), year=2009, hub=60.0 + i % 50)
+                for i in range(150)]
+        return grid, recs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sums_bit_identical_to_in_memory(self, tmp_path, workers):
+        grid, recs = self.grid_and_turbines()
+        path = tmp_path / "g.wgrd"
+        write_windgrid(grid, path)
+        span = (0, grid.n_time)
+        memory = cube_sums(grid, recs, ["hub", 76.0], span)
+        disk = cube_sums(load_windgrid(path), recs, ["hub", 76.0], span, workers)
+        assert len(disk.bounds) == 4 and disk.sums.shape == (2, 3, 150)
+        assert np.array_equal(disk.sums, memory.sums)
+        assert disk.calm_hours == memory.calm_hours == 4 * 150
+
+    @pytest.mark.parametrize("change", ["rewritten", "replaced", "truncated"])
+    def test_file_changed_after_load_fails_pass(self, tmp_path, change):
+        grid, recs = self.grid_and_turbines()
+        path = tmp_path / "g.wgrd"
+        data = grid_to_bytes(grid)
+        path.write_bytes(data)
+        loaded = load_windgrid(path)
+        st = path.stat()
+        nan_last = data[:-4] + struct.pack("<f", math.nan)
+        if change == "rewritten":
+            path.write_bytes(nan_last)
+            # a later write: file clocks can be coarser than the time between writes
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10 ** 9))
+        elif change == "replaced":  # same size and time stamp, another file
+            other = tmp_path / "other.wgrd"
+            other.write_bytes(nan_last)
+            os.utime(other, ns=(st.st_atime_ns, st.st_mtime_ns))
+            os.replace(other, path)
+        else:
+            with open(path, "r+b") as fh:
+                fh.truncate(len(data) - 4)
+        with pytest.raises(DataError, match="changed after it was loaded"):
+            cube_sums(loaded, recs, ["hub"], (0, grid.n_time))
+
+
+_RSS_CHILD = """
+import json, sys
+from pathlib import Path
+
+from conftest import turbine
+from windfleet.powerflux import cube_sums
+from windfleet.windgrid import load_windgrid
+
+
+def peak_kb():
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1])
+
+
+path, points = sys.argv[1], json.loads(sys.argv[2])
+recs = [turbine(f"T{i}", lon=lon, lat=lat, year=2009) for i, (lon, lat) in enumerate(points)]
+before = peak_kb()
+grid = load_windgrid(path)
+sums = cube_sums(grid, recs, ["hub", 76.0], (0, grid.n_time))
+print(json.dumps({"growth_kb": peak_kb() - before, "sums": sums.sums.tolist(),
+                  "calm_hours": sums.calm_hours}))
+"""
+
+
+class TestBoundedMemory:
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                        reason="needs /proc/self/status for the peak RSS")
+    def test_pass_memory_does_not_grow_with_file(self, tmp_path):
+        # 60x60 nodes over January-March 2010, turbines in the south-west
+        # corner cell only: the file is 124 MB, the turbines read 4 nodes
+        n, side = 24 * (31 + 28 + 31), 60
+        rng = np.random.default_rng(5)
+        u = (rng.random((n, side, side), dtype=np.float32) * 10.0 + 2.0)
+        zeros = np.zeros_like(u)
+        grid = grid_from_field(u, zeros, u, zeros, lons=np.linspace(-100.0, -70.0, side),
+                               lats=np.linspace(25.0, 50.0, side))
+        path = tmp_path / "big.wgrd"
+        write_windgrid(grid, path)
+        size = path.stat().st_size
+        assert size >= 80e6
+        points = [(-99.9, 25.1), (-99.75, 25.3), (-99.6, 25.05)]
+        recs = [turbine(f"T{i}", lon=lon, lat=lat, year=2009) for i, (lon, lat) in enumerate(points)]
+        expected = cube_sums(grid, recs, ["hub", 76.0], (0, n))
+        del grid, u, zeros
+
+        import windfleet
+        src = Path(windfleet.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+        proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, str(path), json.dumps(points)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout)
+        assert child["sums"] == expected.sums.tolist()
+        assert child["calm_hours"] == 0
+        assert child["growth_kb"] * 1024 < 0.25 * size, (child["growth_kb"], size)
 
 
 @st.composite

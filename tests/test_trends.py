@@ -5,9 +5,7 @@ import pytest
 
 from windfleet.errors import DataError
 from windfleet.series import AnnualSeries
-from windfleet.trends import (counterfactual_efficiency,
-                              counterfactual_fallback_count, ols_fit, pearson,
-                              reset_counterfactual_fallback_count, trend_slope)
+from windfleet.trends import counterfactual_efficiency, ols_fit, pearson, trend_slope
 
 
 def series(values, start=2010, unit="dimensionless"):
@@ -84,17 +82,17 @@ class TestTrendSlope:
 
 class TestCounterfactualEfficiency:
     def test_constant_density_fallback(self):
-        reset_counterfactual_fallback_count()
         e = series([0.3, 0.35, 0.28])
         d = series([400.0, 400.0, 400.0], unit="W/m²")
-        assert counterfactual_efficiency(e, d).values == e.values
-        assert counterfactual_fallback_count() == 1
-        reset_counterfactual_fallback_count()
+        cf, fallback = counterfactual_efficiency(e, d)
+        assert cf.values == e.values
+        assert fallback is True
+        assert counterfactual_efficiency(e, series([400.0, 410.0, 400.0])).fallback is False
 
     def test_perfectly_explained_variation(self):
         d = series([300.0, 400.0, 500.0, 350.0], unit="W/m²")
         e = series([0.5 - 0.0004 * dv for dv in d.values])
-        cf = counterfactual_efficiency(e, d)
+        cf = counterfactual_efficiency(e, d).series
         mean_e = sum(e.values) / len(e)
         assert cf.values == pytest.approx([mean_e] * 4, rel=1e-12)
 
@@ -107,7 +105,7 @@ class TestCounterfactualEfficiency:
         alpha1 = np.polyfit(d_values, e_values, 1)[0]
         dbar = sum(d_values) / len(d_values)
         expected = [ev - alpha1 * (dv - dbar) for ev, dv in zip(e_values, d_values)]
-        cf = counterfactual_efficiency(e, d)
+        cf = counterfactual_efficiency(e, d).series
         assert cf.values == pytest.approx(expected, rel=1e-10)
 
     def test_mean_preservation_random(self):
@@ -116,7 +114,7 @@ class TestCounterfactualEfficiency:
             n = rng.randint(3, 15)
             e = series([rng.uniform(0.1, 0.5) for _ in range(n)])
             d = series([rng.uniform(200, 600) for _ in range(n)], unit="W/m²")
-            cf = counterfactual_efficiency(e, d)
+            cf = counterfactual_efficiency(e, d).series
             assert sum(cf.values) / n == pytest.approx(sum(e.values) / n, rel=1e-12)
 
     def test_too_short(self):
