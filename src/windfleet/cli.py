@@ -99,18 +99,6 @@ def _write_series_csv(path, series: AnnualSeries) -> None:
             writer.writerow([year, repr(value), series.unit])
 
 
-def _load_fleet(args) -> fleet_mod.Fleet:
-    records = fleet_mod.parse_turbine_csv(Path(args.turbines).read_bytes())
-    if getattr(args, "extension", None):
-        records = fleet_mod.merge_extension(
-            records, fleet_mod.parse_turbine_csv(Path(args.extension).read_bytes()))
-    exclusions = set()
-    if getattr(args, "exclusions", None):
-        exclusions = fleet_mod.parse_exclusion_ids(
-            Path(args.exclusions).read_text(encoding="utf-8"))
-    return fleet_mod.preprocess(records, exclusions)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -176,7 +164,7 @@ def _cmd_convert_grid(args) -> int:
 
 
 def _cmd_pin(args) -> int:
-    fleet = _load_fleet(args)
+    fleet = pipeline.load_fleet(args.turbines, args.extension, args.exclusions)
     grid = windgrid.load_windgrid(args.windgrid)
     start, end = _year_span(args.years)
     height = "hub" if args.height == "hub" else float(args.height)
@@ -249,29 +237,11 @@ def _cmd_trends(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    fleet = _load_fleet(args)
     start, end = _year_span(args.years)
     years = range(start, end + 1)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     labels = [s.strip() for s in args.scenarios.split(",") if s.strip()]
-    with open(out / "scenarios.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scenario", "year", "capacity_mw"])
-        for label in labels:
-            series = validate.scenario_capacity(fleet, years,
-                                                pipeline.parse_scenario(label))
-            for year, v in series.items():
-                writer.writerow([label, year, repr(v)])
-
-    with open(out / "missingness.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["year", "field", "share"])
-        for fname, series in validate.missingness_report(fleet.turbines).items():
-            for year, v in series.items():
-                writer.writerow([year, fname, repr(v)])
-
+    specs = [pipeline.parse_scenario(label) for label in labels]
+    ref = None
     if args.reference:
         reference = validate.parse_reference_csv(Path(args.reference).read_bytes())
         if reference.capacity_mw is not None:
@@ -279,17 +249,41 @@ def _cmd_validate(args) -> int:
             lo, hi = max(ref.start_year, start), min(ref.end_year, end)
             if lo > hi:
                 raise DataError("reference years do not overlap the study period")
-            with open(out / "relative_difference.csv", "w", newline="",
-                      encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["scenario", "year", "percent"])
-                for label in labels:
-                    series = validate.scenario_capacity(fleet, years,
-                                                        pipeline.parse_scenario(label))
-                    diff = validate.relative_difference(series.slice(lo, hi),
-                                                        ref.slice(lo, hi))
-                    for year, v in diff.items():
-                        writer.writerow([label, year, repr(v)])
+            ref = ref.slice(lo, hi)
+
+    fleet = pipeline.load_fleet(args.turbines, args.extension, args.exclusions)
+    scenarios = [validate.scenario_capacity(fleet, years, spec) for spec in specs]
+    missing = validate.missingness_report(fleet.turbines)
+    rel_diff = []
+    if ref is not None:
+        rel_diff = [validate.relative_difference(series.slice(ref.start_year, ref.end_year),
+                                                 ref)
+                    for series in scenarios]
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "scenarios.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["scenario", "year", "capacity_mw"])
+        for label, series in zip(labels, scenarios):
+            for year, v in series.items():
+                writer.writerow([label, year, repr(v)])
+
+    with open(out / "missingness.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["year", "field", "share"])
+        for fname, series in missing.items():
+            for year, v in series.items():
+                writer.writerow([year, fname, repr(v)])
+
+    if ref is not None:
+        with open(out / "relative_difference.csv", "w", newline="",
+                  encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["scenario", "year", "percent"])
+            for label, diff in zip(labels, rel_diff):
+                for year, v in diff.items():
+                    writer.writerow([label, year, repr(v)])
     print(f"wrote validation tables to {out}")
     return EXIT_OK
 

@@ -15,6 +15,8 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import DataError
 from .series import AnnualSeries
 
@@ -221,34 +223,45 @@ def impute_missing(records: list[TurbineRecord]) -> tuple[list[TurbineRecord], I
     observed values in the same commissioning year.
 
     Years with no observed value fall back to the mean over all years.  A
-    field observed nowhere in the dataset is an error.
+    field observed nowhere in the dataset is an error.  Each field takes one
+    pass over the records, adding its values in record order.
     """
+    in_year: dict[int, int] = {}
     for rec in records:
         if rec.commissioning_year is None:
             raise DataError(f"turbine {rec.id} has no commissioning year")
+        in_year[rec.commissioning_year] = in_year.get(rec.commissioning_year, 0) + 1
 
-    years = sorted({r.commissioning_year for r in records})
+    years = sorted(in_year)
     missing_share: dict[str, dict[int, float]] = {}
     imputed_counts = {f: 0 for f in IMPUTABLE_FIELDS}
     fallback_years: dict[str, list[int]] = {f: [] for f in IMPUTABLE_FIELDS}
     year_means: dict[str, dict[int, float]] = {}
-    global_means: dict[str, float] = {}
 
     for fname in IMPUTABLE_FIELDS:
-        observed_all = [getattr(r, fname) for r in records if getattr(r, fname) is not None]
-        if not observed_all:
+        sums: dict[int, float] = {}
+        counts: dict[int, int] = {}
+        total, n_observed = 0, 0
+        for rec in records:
+            value = getattr(rec, fname)
+            if value is not None:
+                year = rec.commissioning_year
+                sums[year] = sums.get(year, 0) + value
+                counts[year] = counts.get(year, 0) + 1
+                total += value
+                n_observed += 1
+        if not n_observed:
             raise DataError(f"field never observed: {fname}")
-        global_means[fname] = sum(observed_all) / len(observed_all)
+        global_mean = total / n_observed
         year_means[fname] = {}
         missing_share[fname] = {}
         for year in years:
-            in_year = [r for r in records if r.commissioning_year == year]
-            observed = [getattr(r, fname) for r in in_year if getattr(r, fname) is not None]
-            missing_share[fname][year] = 1.0 - len(observed) / len(in_year)
-            if observed:
-                year_means[fname][year] = sum(observed) / len(observed)
+            n = counts.get(year, 0)
+            missing_share[fname][year] = 1.0 - n / in_year[year]
+            if n:
+                year_means[fname][year] = sums[year] / n
             else:
-                year_means[fname][year] = global_means[fname]
+                year_means[fname][year] = global_mean
                 fallback_years[fname].append(year)
 
     out = []
@@ -348,6 +361,51 @@ def operating_weight(rec: TurbineRecord, year: int,
     return 0.5 if year == cy else 1.0
 
 
+#: commissioning year standing in for a missing one: later than any year
+_NEVER = np.iinfo(np.int64).max // 2
+
+
+@dataclass(frozen=True)
+class TurbineColumns:
+    """The fields ``operating_weights`` reads, one array entry per turbine."""
+
+    commissioning_year: np.ndarray
+    decommissioned_flag: np.ndarray
+
+    @classmethod
+    def of(cls, turbines: list[TurbineRecord]) -> "TurbineColumns":
+        n = len(turbines)
+        cy = np.fromiter((_NEVER if r.commissioning_year is None else r.commissioning_year
+                          for r in turbines), np.int64, n)
+        flag = np.fromiter((r.decommissioned_flag for r in turbines), bool, n)
+        return cls(cy, flag)
+
+
+def operating_weights(turbines: list[TurbineRecord] | TurbineColumns, year: int,
+                      scenario: ScenarioSpec | None = None) -> np.ndarray:
+    """``operating_weight`` of every turbine in ``year``, in turbine order.
+
+    ``turbines`` may be given as its ``TurbineColumns``, so that callers
+    weighting many years read the records once.
+    """
+    cols = turbines if isinstance(turbines, TurbineColumns) else TurbineColumns.of(turbines)
+    cy = cols.commissioning_year
+    weights = np.where(year < cy, 0.0, np.where(year == cy, 0.5, 1.0))
+    if scenario is not None:
+        if scenario.drop_decommissioned_flagged:
+            weights[cols.decommissioned_flag] = 0.0
+        if scenario.lifetime_years is not None:
+            weights[year >= cy + scenario.lifetime_years] = 0.0
+    return weights
+
+
+def _turbine_order_sum(terms: np.ndarray) -> float:
+    """Sum of ``terms`` added left to right, as a plain ``+=`` loop adds them
+    (``np.sum`` adds pairwise, and Python 3.12's ``sum`` compensates; both
+    change the last bits)."""
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+
+
 def _year_range(years) -> list[int]:
     out = list(years)
     if not out:
@@ -355,24 +413,27 @@ def _year_range(years) -> list[int]:
     return out
 
 
+def _weighted_series(fleet: Fleet, years, scenario: ScenarioSpec | None,
+                     values) -> list[float]:
+    """Per year, Σ operating weight · value over the fleet in turbine order."""
+    cols = TurbineColumns.of(fleet.turbines)
+    return [_turbine_order_sum(operating_weights(cols, y, scenario) * values) for y in years]
+
+
 def annual_counts(fleet: Fleet, years: range,
                   scenario: ScenarioSpec | None = None) -> AnnualSeries:
     """Operating turbine count per year with the commissioning-year 0.5 weight."""
     ys = _year_range(years)
-    values = [sum(operating_weight(r, y, scenario) for r in fleet.turbines) for y in ys]
-    return AnnualSeries(ys[0], values, "count")
+    return AnnualSeries(ys[0], _weighted_series(fleet, ys, scenario, 1.0), "count")
 
 
 def annual_swept_area(fleet: Fleet, years: range,
                       scenario: ScenarioSpec | None = None) -> AnnualSeries:
     """Total rotor swept area per year (m²), same weighting as counts."""
     ys = _year_range(years)
-    values = [
-        sum(operating_weight(r, y, scenario) * rotor_swept_area(r.rotor_diameter)
-            for r in fleet.turbines)
-        for y in ys
-    ]
-    return AnnualSeries(ys[0], values, "m²")
+    areas = np.fromiter((rotor_swept_area(r.rotor_diameter) for r in fleet.turbines),
+                        np.float64, len(fleet.turbines))
+    return AnnualSeries(ys[0], _weighted_series(fleet, ys, scenario, areas), "m²")
 
 
 def annual_capacity(fleet: Fleet, years: range,
@@ -384,18 +445,13 @@ def annual_capacity(fleet: Fleet, years: range,
     """
     scenario = scenario or ScenarioSpec()
     ys = _year_range(years)
-    values = []
-    for y in ys:
-        total_kw = 0.0
-        for r in fleet.turbines:
-            if not scenario.impute_capacity and (
-                    r.capacity is None or "capacity" in r.imputed_fields):
-                continue
-            if r.capacity is None:
-                continue
-            total_kw += operating_weight(r, y, scenario) * r.capacity
-        values.append(total_kw / 1000.0)
-    return AnnualSeries(ys[0], values, "MW")
+    kw = np.fromiter(
+        (0.0 if r.capacity is None
+         or (not scenario.impute_capacity and "capacity" in r.imputed_fields)
+         else r.capacity for r in fleet.turbines),
+        np.float64, len(fleet.turbines))
+    return AnnualSeries(ys[0], [total / 1000.0 for total in
+                                _weighted_series(fleet, ys, scenario, kw)], "MW")
 
 
 def specific_power(capacity: float, area: float) -> float:

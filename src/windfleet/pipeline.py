@@ -210,6 +210,20 @@ class ReportBundle:
     files: list[str]
 
 
+def load_fleet(turbines, extension=None, exclusions=None) -> fleet_mod.Fleet:
+    """The fleet stage's input: parse the registry, merge the decommissioning
+    extension, drop the excluded ids, and preprocess (impute) the rest."""
+    records = fleet_mod.parse_turbine_csv(Path(turbines).read_bytes())
+    if extension:
+        ext = fleet_mod.parse_turbine_csv(Path(extension).read_bytes())
+        records = fleet_mod.merge_extension(records, ext)
+    exclusion_ids = set()
+    if exclusions:
+        exclusion_ids = fleet_mod.parse_exclusion_ids(
+            Path(exclusions).read_text(encoding="utf-8"))
+    return fleet_mod.preprocess(records, exclusion_ids)
+
+
 def run_pipeline(config: RunConfig) -> ReportBundle:
     """Execute every stage and write the report bundle; see module docs."""
     config.check()
@@ -217,15 +231,7 @@ def run_pipeline(config: RunConfig) -> ReportBundle:
     year_list = list(years)
 
     with _stage("fleet"):
-        records = fleet_mod.parse_turbine_csv(Path(config.turbines).read_bytes())
-        if config.extension:
-            ext = fleet_mod.parse_turbine_csv(Path(config.extension).read_bytes())
-            records = fleet_mod.merge_extension(records, ext)
-        exclusions = set()
-        if config.exclusions:
-            exclusions = fleet_mod.parse_exclusion_ids(
-                Path(config.exclusions).read_text(encoding="utf-8"))
-        fleet = fleet_mod.preprocess(records, exclusions)
+        fleet = load_fleet(config.turbines, config.extension, config.exclusions)
         n_series = fleet_mod.annual_counts(fleet, years)
         area_series = fleet_mod.annual_swept_area(fleet, years)
         capacity_series = fleet_mod.annual_capacity(fleet, years)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .fleet import Fleet, TurbineRecord, operating_weight, rotor_swept_area
+from .fleet import (Fleet, TurbineColumns, TurbineRecord, operating_weights,
+                    rotor_swept_area)
 from .series import AnnualSeries
 from .windgrid import REFERENCE_HEIGHT, WindGrid, cell_weights, stamp_blocks
 
@@ -283,7 +284,10 @@ class CubeSums:
     sums: np.ndarray
     calm_hours: int
     scale: np.ndarray
-    _weights: dict = field(default_factory=dict, init=False, repr=False)
+    _columns: TurbineColumns = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._columns = TurbineColumns.of(self.turbines)
 
     def fleet_pin(self, height: int, period, climate_mode: str = "actual") -> float:
         """Fleet kinetic input power over ``period`` at the ``height``-th
@@ -301,11 +305,7 @@ class CubeSums:
         if c1 >= len(self.bounds) or self.bounds[c0] != k0 or self.bounds[c1] != k1:
             raise ValueError(f"period {period} is not a span of the pass's blocks")
         total = self.sums[height, c0:c1].sum(axis=0)
-        year = period_year(period)
-        weights = self._weights.get(year)
-        if weights is None:
-            weights = np.asarray([operating_weight(r, year) for r in self.turbines])
-            self._weights[year] = weights
+        weights = operating_weights(self._columns, period_year(period))
         return math.fsum((weights * self.scale * (total / (k1 - k0))).tolist())
 
 

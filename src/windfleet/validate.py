@@ -108,25 +108,30 @@ def missingness_report(records: list[TurbineRecord]) -> dict[str, AnnualSeries]:
     commissioned in or before y whose field was missing before imputation
     (decommissioning is neglected).  Imputed records are recognized via
     their imputation marks, so the report is the same before and after
-    imputation.
+    imputation.  One pass counts each commissioning year's turbines and
+    blanks; the shares are ratios of their running totals.
     """
+    cohort: dict[int, int] = {}
+    blanks: dict[str, dict[int, int]] = {f: {} for f in IMPUTABLE_FIELDS}
     for rec in records:
-        if rec.commissioning_year is None:
+        cy = rec.commissioning_year
+        if cy is None:
             raise DataError(f"turbine {rec.id} has no commissioning year")
+        cohort[cy] = cohort.get(cy, 0) + 1
+        for fname, counts in blanks.items():
+            if getattr(rec, fname) is None or fname in rec.imputed_fields:
+                counts[cy] = counts.get(cy, 0) + 1
     if not records:
         raise DataError("no turbines")
-    years = range(min(r.commissioning_year for r in records),
-                  max(r.commissioning_year for r in records) + 1)
-
-    def originally_missing(rec: TurbineRecord, fname: str) -> bool:
-        return getattr(rec, fname) is None or fname in rec.imputed_fields
+    years = range(min(cohort), max(cohort) + 1)
 
     out = {}
-    for fname in IMPUTABLE_FIELDS:
+    for fname, counts in blanks.items():
         shares = []
+        n = missing = 0
         for y in years:
-            cohort = [r for r in records if r.commissioning_year <= y]
-            missing = sum(1 for r in cohort if originally_missing(r, fname))
-            shares.append(missing / len(cohort) if cohort else 0.0)
+            n += cohort.get(y, 0)
+            missing += counts.get(y, 0)
+            shares.append(missing / n)
         out[fname] = AnnualSeries(years.start, shares, "dimensionless")
     return out

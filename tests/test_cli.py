@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from windfleet import powerflux
+from windfleet import fleet, powerflux, validate
 from windfleet.windgrid import VARIABLES, WindGrid, grid_to_bytes, load_windgrid
 from windfleet.cli import main
 from windfleet.pipeline import load_config_file, parse_scenario
@@ -308,6 +308,65 @@ class TestValidateSubcommand:
         for row in default_rows:
             assert abs(float(row.split(",")[2])) < 1e-9
         assert (out / "missingness.csv").is_file()
+
+    def validate_args(self, fixture_dir, out, *extra):
+        return ["validate", "--turbines", str(fixture_dir / "turbines.csv"),
+                "--years", "2010:2011", "--out", str(out), *extra]
+
+    @pytest.fixture
+    def registry_reads(self, monkeypatch):
+        reads = []
+        parse = fleet.parse_turbine_csv
+
+        def counting(data):
+            reads.append(len(data))
+            return parse(data)
+
+        monkeypatch.setattr(fleet, "parse_turbine_csv", counting)
+        return reads
+
+    def test_bad_scenario_fails_before_registry(self, fixture_dir, tmp_path,
+                                                registry_reads):
+        out = tmp_path / "val"
+        code = main(self.validate_args(
+            fixture_dir, out, "--reference", str(fixture_dir / "reference.csv"),
+            "--scenarios", "default,lifetime-zero"))
+        assert code == 2
+        assert registry_reads == []
+        assert not out.exists()
+
+    def test_reference_outside_study_fails_before_registry(self, fixture_dir, tmp_path,
+                                                           registry_reads):
+        reference = tmp_path / "old_reference.csv"
+        reference.write_text("year,installed_capacity_mw,generation_gwh\n"
+                             "1999,100.0,\n2000,120.0,\n", encoding="utf-8")
+        out = tmp_path / "val"
+        code = main(self.validate_args(fixture_dir, out, "--reference", str(reference)))
+        assert code == 3
+        assert registry_reads == []
+        assert not out.exists()
+
+    def test_each_scenario_computed_once(self, fixture_dir, tmp_path, monkeypatch):
+        calls = []
+        scenario_capacity = validate.scenario_capacity
+
+        def counting(fleet_, years, spec):
+            calls.append(spec)
+            return scenario_capacity(fleet_, years, spec)
+
+        monkeypatch.setattr(validate, "scenario_capacity", counting)
+        labels = ["default", "drop-flagged", "lifetime-15", "lifetime-20"]
+        assert main(self.validate_args(
+            fixture_dir, tmp_path / "val", "--reference", str(fixture_dir / "reference.csv"),
+            "--scenarios", ",".join(labels))) == 0
+        assert calls == [parse_scenario(label) for label in labels]
+        rows = (tmp_path / "val" / "relative_difference.csv").read_text().splitlines()[1:]
+        assert sorted({row.split(",")[0] for row in rows}) == sorted(labels)
+
+        calls.clear()
+        assert run_report(fixture_dir, tmp_path / "out",
+                          ["--scenarios", ",".join(labels)]) == 0
+        assert calls == [parse_scenario(label) for label in labels]
 
 
 class TestScenarioParsing:

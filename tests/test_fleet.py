@@ -2,14 +2,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import fleet_of, turbine
 from windfleet.errors import DataError
-from windfleet.fleet import (ScenarioSpec, annual_capacity, annual_counts,
-                             annual_swept_area, imputation_bounds,
-                             impute_missing, merge_extension,
-                             parse_exclusion_ids, parse_turbine_csv,
-                             preprocess, rotor_swept_area, specific_power)
+from windfleet.fleet import (IMPUTABLE_FIELDS, ScenarioSpec, annual_capacity,
+                             annual_counts, annual_swept_area,
+                             imputation_bounds, impute_missing,
+                             merge_extension, operating_weight,
+                             operating_weights, parse_exclusion_ids,
+                             parse_turbine_csv, preprocess, rotor_swept_area,
+                             specific_power)
+from windfleet.validate import missingness_report
 
 HEADER = "case_id,xlong,ylat,p_year,t_hh,t_rd,t_cap,is_decommissioned,d_year"
 
@@ -327,3 +332,166 @@ class TestSpecificPower:
     def test_zero_area(self):
         with pytest.raises(ValueError):
             specific_power(1000.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# vectorised aggregates against naive loops over the scalar rule
+# ---------------------------------------------------------------------------
+
+def bits(values):
+    """Exact bit patterns, so 0.1 + 0.2 and 0.3 do not compare equal."""
+    return [float(v).hex() for v in values]
+
+
+def left_to_right(values):
+    """``sum`` without Python 3.12's compensated float summation."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def naive_counts(turbines, years, scenario):
+    return [left_to_right(operating_weight(r, y, scenario) for r in turbines)
+            for y in years]
+
+
+def naive_area(turbines, years, scenario):
+    return [left_to_right(operating_weight(r, y, scenario) * rotor_swept_area(r.rotor_diameter)
+                          for r in turbines) for y in years]
+
+
+def naive_capacity(turbines, years, scenario):
+    scenario = scenario or ScenarioSpec()
+    out = []
+    for y in years:
+        total_kw = 0.0
+        for r in turbines:
+            if r.capacity is None or (not scenario.impute_capacity
+                                      and "capacity" in r.imputed_fields):
+                continue
+            total_kw += operating_weight(r, y, scenario) * r.capacity
+        out.append(total_kw / 1000.0)
+    return out
+
+
+def naive_impute(records):
+    """Per field and year, the mean of that year's observed values (the
+    global mean where a year has none), by rescanning the records."""
+    years = sorted({r.commissioning_year for r in records})
+    share, means, fallback = {}, {}, {}
+    for fname in IMPUTABLE_FIELDS:
+        observed_all = [getattr(r, fname) for r in records if getattr(r, fname) is not None]
+        if not observed_all:
+            raise DataError(f"field never observed: {fname}")
+        share[fname], means[fname], fallback[fname] = {}, {}, []
+        for year in years:
+            in_year = [r for r in records if r.commissioning_year == year]
+            observed = [getattr(r, fname) for r in in_year if getattr(r, fname) is not None]
+            share[fname][year] = 1.0 - len(observed) / len(in_year)
+            if observed:
+                means[fname][year] = left_to_right(observed) / len(observed)
+            else:
+                means[fname][year] = left_to_right(observed_all) / len(observed_all)
+                fallback[fname].append(year)
+    filled = [{f: means[f][r.commissioning_year] if getattr(r, f) is None else getattr(r, f)
+               for f in IMPUTABLE_FIELDS} for r in records]
+    return filled, share, fallback
+
+
+def naive_missingness(records):
+    years = range(min(r.commissioning_year for r in records),
+                  max(r.commissioning_year for r in records) + 1)
+    out = {}
+    for fname in IMPUTABLE_FIELDS:
+        shares = []
+        for y in years:
+            cohort = [r for r in records if r.commissioning_year <= y]
+            missing = sum(1 for r in cohort
+                          if getattr(r, fname) is None or fname in r.imputed_fields)
+            shares.append(missing / len(cohort))
+        out[fname] = (years.start, shares)
+    return out
+
+
+def maybe(values):
+    return st.one_of(st.none(), values)
+
+
+def fleets(min_size=0, no_year=True):
+    """Turbines commissioned 2003-2009 (or never, when ``no_year``) with
+    random diameters, capacities, flags and imputation marks."""
+    years = st.integers(2003, 2009)
+    record = st.builds(
+        turbine, year=maybe(years) if no_year else years,
+        hub=maybe(st.floats(30.0, 160.0)), rotor=st.floats(20.0, 170.0),
+        cap=maybe(st.floats(100.0, 6000.0)), flagged=st.booleans(),
+        imputed=st.sets(st.sampled_from(IMPUTABLE_FIELDS)))
+    return st.lists(record, min_size=min_size, max_size=24)
+
+
+scenarios = st.one_of(st.none(), st.builds(
+    ScenarioSpec, drop_decommissioned_flagged=st.booleans(),
+    lifetime_years=maybe(st.integers(1, 8)), impute_capacity=st.booleans()))
+
+
+class TestVectorisedAggregates:
+    # 2000-2002 lie before any commissioning year
+    YEARS = range(2000, 2013)
+
+    @given(fleets(), scenarios)
+    def test_weights_follow_scalar_rule(self, recs, scenario):
+        for y in self.YEARS:
+            assert bits(operating_weights(recs, y, scenario)) == bits(
+                [operating_weight(r, y, scenario) for r in recs])
+
+    @given(fleets(), scenarios)
+    def test_series_equal_naive_loops_bitwise(self, recs, scenario):
+        fleet = fleet_of(recs)
+        assert bits(annual_counts(fleet, self.YEARS, scenario).values) == bits(
+            naive_counts(recs, self.YEARS, scenario))
+        assert bits(annual_swept_area(fleet, self.YEARS, scenario).values) == bits(
+            naive_area(recs, self.YEARS, scenario))
+        assert bits(annual_capacity(fleet, self.YEARS, scenario).values) == bits(
+            naive_capacity(recs, self.YEARS, scenario))
+
+    def test_empty_fleet(self):
+        fleet = fleet_of([])
+        for series in (annual_counts(fleet, self.YEARS), annual_swept_area(fleet, self.YEARS),
+                       annual_capacity(fleet, self.YEARS)):
+            assert bits(series.values) == bits([0.0] * len(self.YEARS))
+        assert len(operating_weights([], 2010)) == 0
+
+    @given(fleets(min_size=1, no_year=False))
+    def test_impute_equals_naive_rescan(self, recs):
+        try:
+            filled, share, fallback = naive_impute(recs)
+        except DataError as exc:
+            with pytest.raises(DataError, match=str(exc)):
+                impute_missing(recs)
+            return
+        out, report = impute_missing(recs)
+        for rec, want in zip(out, filled):
+            assert bits(getattr(rec, f) for f in IMPUTABLE_FIELDS) == bits(want.values())
+        assert [list(s.items()) for s in report.missing_share.values()] == [
+            list(s.items()) for s in share.values()]
+        assert report.fallback_years == fallback
+
+    def test_impute_fallback_years_equal_naive(self):
+        recs = [turbine("A", year=2004, cap=1000.1), turbine("B", year=2004, cap=2000.3),
+                turbine("C", year=2006, cap=None, rotor=None),
+                turbine("D", year=2007, cap=None), turbine("E", year=2007, cap=None, rotor=95.5)]
+        out, report = impute_missing(recs)
+        filled, _, fallback = naive_impute(recs)
+        assert report.fallback_years == fallback == {
+            "hub_height": [], "rotor_diameter": [2006], "capacity": [2006, 2007]}
+        assert [bits(r.capacity for r in out)] == [bits(f["capacity"] for f in filled)]
+
+    @given(fleets(min_size=1, no_year=False))
+    def test_missingness_equals_naive_rescan(self, recs):
+        want = naive_missingness(recs)
+        got = missingness_report(recs)
+        assert list(got) == list(want)
+        for fname, series in got.items():
+            assert (series.start_year, bits(series.values)) == (
+                want[fname][0], bits(want[fname][1]))
