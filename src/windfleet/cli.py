@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import sys
 from pathlib import Path
 
-from . import decomp, pipeline, powerflux, synth, trends, validate, windgrid
+from . import pipeline, powerflux, synth, trends, windgrid
 from . import fleet as fleet_mod
 from .errors import (EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK,
                      ConfigError, DataError, InvariantError)
@@ -92,11 +91,8 @@ def _read_series_csv(path) -> AnnualSeries:
 
 
 def _write_series_csv(path, series: AnnualSeries) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["year", "value", "unit"])
-        for year, value in series.items():
-            writer.writerow([year, repr(value), series.unit])
+    pipeline.write_csv(path, ["year", "value", "unit"],
+                       [[year, repr(value), series.unit] for year, value in series.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +126,11 @@ def _cmd_synth(args) -> int:
     years = range(spec.years[0], spec.years[1] + 1)
     capacity = fleet_mod.annual_capacity(fleet, years)
     energy = powerflux.parse_generation_csv(gen_bytes)
-    with open(out / "reference.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["year", "installed_capacity_mw", "generation_gwh"])
-        for year, cap in capacity.items():
-            gwh = powerflux.pout_series(energy, year) \
-                * powerflux.hours_in_period(year) / 1e9
-            writer.writerow([year, repr(cap), repr(gwh)])
+    pipeline.write_csv(
+        out / "reference.csv", ["year", "installed_capacity_mw", "generation_gwh"],
+        [[year, repr(cap),
+          repr(powerflux.pout_series(energy, year) * powerflux.hours_in_period(year) / 1e9)]
+         for year, cap in capacity.items()])
 
     conf = "\n".join([
         "turbines = turbines.csv",
@@ -182,35 +176,14 @@ def _cmd_decompose(args) -> int:
     area = _read_series_csv(args.area)
     p_in = _read_series_csv(args.pin)
     p_out = _read_series_csv(args.pout)
-    base_year = args.base_year if args.base_year else n.start_year
-    result = decomp.multiplicative_decomposition(n, area, p_in, p_out)
-    decomp.indexed_factors(result, base_year)
-    payload = {
-        "years": result.years,
-        "factors": {
-            "n": result.factors.n.values,
-            "area_per_turbine": result.factors.area_per_turbine.values,
-            "input_density": result.factors.input_density.values,
-            "efficiency": result.factors.efficiency.values,
-        },
-        "indexed_factors": {
-            "n": result.indexed_factors.n.values,
-            "area_per_turbine": result.indexed_factors.area_per_turbine.values,
-            "input_density": result.indexed_factors.input_density.values,
-            "efficiency": result.indexed_factors.efficiency.values,
-        },
-    }
+    p_in_avg = p_in_ref_avg = None
     if args.pin_avg and args.pin_ref_avg:
-        additive = decomp.additive_pin_decomposition(
-            p_in, _read_series_csv(args.pin_avg), _read_series_csv(args.pin_ref_avg),
-            area, base_year)
-        payload["additive"] = {
-            "baseline_w_m2": additive.additive.baseline,
-            "new_locations": additive.additive.new_locations.values,
-            "hub_height": additive.additive.hub_height.values,
-            "annual_variation": additive.additive.annual_variation.values,
-        }
-    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        p_in_avg = _read_series_csv(args.pin_avg)
+        p_in_ref_avg = _read_series_csv(args.pin_ref_avg)
+    result = pipeline.decomposition_stage(n, area, p_in, p_out,
+                                          args.base_year or n.start_year,
+                                          p_in_avg, p_in_ref_avg)
+    Path(args.out).write_text(pipeline.json_text(pipeline.decomposition_json(result)),
                               encoding="utf-8")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -222,16 +195,15 @@ def _cmd_trends(args) -> int:
         d = _read_series_csv(args.density)
         counterfactual = trends.counterfactual_efficiency(e, d).series
         fit = trends.ols_fit(list(counterfactual.years), counterfactual.values)
-        payload = {"counterfactual": pipeline._fit_json(fit)}
+        payload = {"counterfactual": pipeline.fit_json(fit)}
         if args.out_csv:
             _write_series_csv(args.out_csv, counterfactual)
     elif args.series:
         s = _read_series_csv(args.series)
-        payload = {"trend": pipeline._fit_json(trends.ols_fit(list(s.years), s.values))}
+        payload = {"trend": pipeline.fit_json(trends.ols_fit(list(s.years), s.values))}
     else:
         raise ConfigError("trends needs --series or both --efficiency and --density")
-    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+    Path(args.out).write_text(pipeline.json_text(payload), encoding="utf-8")
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -240,65 +212,22 @@ def _cmd_validate(args) -> int:
     start, end = _year_span(args.years)
     years = range(start, end + 1)
     labels = [s.strip() for s in args.scenarios.split(",") if s.strip()]
-    specs = [pipeline.parse_scenario(label) for label in labels]
-    ref = None
-    if args.reference:
-        reference = validate.parse_reference_csv(Path(args.reference).read_bytes())
-        if reference.capacity_mw is not None:
-            ref = reference.capacity_mw
-            lo, hi = max(ref.start_year, start), min(ref.end_year, end)
-            if lo > hi:
-                raise DataError("reference years do not overlap the study period")
-            ref = ref.slice(lo, hi)
-
+    for label in labels:
+        pipeline.parse_scenario(label)
+    reference = pipeline.load_reference(args.reference, years)
     fleet = pipeline.load_fleet(args.turbines, args.extension, args.exclusions)
-    scenarios = [validate.scenario_capacity(fleet, years, spec) for spec in specs]
-    missing = validate.missingness_report(fleet.turbines)
-    rel_diff = []
-    if ref is not None:
-        rel_diff = [validate.relative_difference(series.slice(ref.start_year, ref.end_year),
-                                                 ref)
-                    for series in scenarios]
-
+    checks = pipeline.validation_stage(fleet, years, labels, reference)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "scenarios.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scenario", "year", "capacity_mw"])
-        for label, series in zip(labels, scenarios):
-            for year, v in series.items():
-                writer.writerow([label, year, repr(v)])
-
-    with open(out / "missingness.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["year", "field", "share"])
-        for fname, series in missing.items():
-            for year, v in series.items():
-                writer.writerow([year, fname, repr(v)])
-
-    if ref is not None:
-        with open(out / "relative_difference.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["scenario", "year", "percent"])
-            for label, diff in zip(labels, rel_diff):
-                for year, v in diff.items():
-                    writer.writerow([label, year, repr(v)])
+    pipeline.write_validation_tables(out, checks)
     print(f"wrote validation tables to {out}")
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
     values = pipeline.load_config_file(args.config) if args.config else {}
-    overrides = {
-        "turbines": args.turbines, "extension": args.extension,
-        "exclusions": args.exclusions, "windgrid": args.windgrid,
-        "generation": args.generation, "reference": args.reference,
-        "start_year": args.start_year, "end_year": args.end_year,
-        "base_year": args.base_year, "reference_height": args.reference_height,
-        "scenarios": args.scenarios, "out": args.out, "workers": args.workers,
-    }
-    for key, value in overrides.items():
+    for key in pipeline.CONFIG_KEYS:
+        value = getattr(args, key)
         if value is not None:
             values[key] = str(value)
     config = pipeline.config_from_mapping(values)
@@ -382,9 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclusions")
     p.add_argument("--years", required=True, help="START:END")
     p.add_argument("--reference")
-    p.add_argument("--scenarios",
-                   default="default,drop-flagged,"
-                           + ",".join(f"lifetime-{n}" for n in validate.DEFAULT_LIFETIMES))
+    p.add_argument("--scenarios", default=",".join(pipeline.DEFAULT_SCENARIOS))
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_validate)
 

@@ -1,5 +1,8 @@
 """End-to-end run: ingest, compute, decompose, analyse, validate, publish.
 
+``run_pipeline`` chains one typed stage function per concern, each mapping
+its errors to an exit code through ``_stage``; the subcommands call the same
+stages, table writer and serializers.
 Outputs are staged in a scratch directory and only moved into the output
 directory when the whole run succeeded, so a failed run leaves no partial
 bundle behind.  Reports contain no timestamps or execution parameters:
@@ -28,9 +31,17 @@ log = logging.getLogger(__name__)
 SCHEMA_VERSION = 2
 DEFAULT_REFERENCE_HEIGHT = 76.0
 
+#: scenario labels run when none are configured
+DEFAULT_SCENARIOS = ("default", "drop-flagged") + tuple(
+    f"lifetime-{n}" for n in validate.DEFAULT_LIFETIMES)
+
 CONFIG_KEYS = ("turbines", "extension", "exclusions", "windgrid", "generation",
                "reference", "start_year", "end_year", "base_year",
                "reference_height", "scenarios", "out", "workers")
+
+#: config keys that name input files, required then optional
+REQUIRED_INPUTS = ("turbines", "windgrid", "generation")
+OPTIONAL_INPUTS = ("extension", "exclusions", "reference")
 
 ADDITIVE_NOTE = ("the annual-variation effect is not independent of the "
                  "hub-height effect: taller fleets see larger absolute "
@@ -74,8 +85,7 @@ class RunConfig:
     reference: str | None = None
     base_year: int | None = None
     reference_height: float = DEFAULT_REFERENCE_HEIGHT
-    scenarios: list[str] = field(default_factory=lambda: ["default", "drop-flagged"]
-                                 + [f"lifetime-{n}" for n in validate.DEFAULT_LIFETIMES])
+    scenarios: list[str] = field(default_factory=lambda: list(DEFAULT_SCENARIOS))
     workers: int = 1
 
     def __post_init__(self):
@@ -92,14 +102,10 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
         if self.reference_height <= 0:
             raise ConfigError("reference_height must be positive")
-        for name in ("turbines", "windgrid", "generation"):
+        for name in REQUIRED_INPUTS + OPTIONAL_INPUTS:
             path = getattr(self, name)
-            if not path:
+            if not path and name in REQUIRED_INPUTS:
                 raise ConfigError(f"{name}: path not configured")
-            if not Path(path).is_file():
-                raise PipelineError(name, f"file not found: {path}", EXIT_CONFIG)
-        for name in ("extension", "exclusions", "reference"):
-            path = getattr(self, name)
             if path and not Path(path).is_file():
                 raise PipelineError(name, f"file not found: {path}", EXIT_CONFIG)
         for label in self.scenarios:
@@ -128,8 +134,7 @@ def load_config_file(path) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"config line {line_no}: unknown key {key!r}")
-        if key in ("turbines", "extension", "exclusions", "windgrid",
-                   "generation", "reference", "out") and value:
+        if key in REQUIRED_INPUTS + OPTIONAL_INPUTS + ("out",) and value:
             value = str((base / value)) if not os.path.isabs(value) else value
         values[key] = value
     return values
@@ -194,13 +199,45 @@ def parse_scenario(label: str) -> fleet_mod.ScenarioSpec:
     return spec
 
 
-def _series_json(s: AnnualSeries) -> dict:
+def series_json(s: AnnualSeries) -> dict:
     return {"start_year": s.start_year, "unit": s.unit, "values": list(s.values)}
 
 
-def _fit_json(fit: trends.OlsFit) -> dict:
+def fit_json(fit: trends.OlsFit) -> dict:
     return {"slope": fit.slope, "intercept": fit.intercept,
             "r_squared": fit.r_squared, "residuals": list(fit.residuals)}
+
+
+def json_text(payload) -> str:
+    """The JSON layout of every file the program writes: sorted keys, indent 2."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _factors(f: decomp.FactorSeries) -> dict[str, AnnualSeries]:
+    return {"n": f.n, "area_per_turbine": f.area_per_turbine,
+            "input_density": f.input_density, "efficiency": f.efficiency}
+
+
+def decomposition_json(result: decomp.DecompositionResult) -> dict:
+    """The ``decomposition`` object of report.json; ``additive`` and its
+    identity error only when the additive decomposition was computed."""
+    payload = {
+        "factors": {k: series_json(s) for k, s in _factors(result.factors).items()},
+        "indexed_factors": {k: series_json(s)
+                            for k, s in _factors(result.indexed_factors).items()},
+        "factor_identity_error": result.factor_identity_error,
+    }
+    if result.additive is not None:
+        a = result.additive
+        payload["additive"] = {
+            "baseline_w_m2": a.baseline,
+            "new_locations": series_json(a.new_locations),
+            "hub_height": series_json(a.hub_height),
+            "annual_variation": series_json(a.annual_variation),
+            "note": ADDITIVE_NOTE,
+        }
+        payload["additive_identity_error"] = result.additive_identity_error
+    return payload
 
 
 @dataclass
@@ -208,6 +245,28 @@ class ReportBundle:
     report: dict
     out_dir: Path
     files: list[str]
+
+
+# ---------------------------------------------------------------------------
+# stages: each maps its errors to an exit code through ``_stage``
+# ---------------------------------------------------------------------------
+
+def load_reference(path, years: range) -> AnnualSeries | None:
+    """The reference capacity over the study years it covers, or None without
+    a reference file or without a capacity column.  A capacity column that
+    covers none of the study years is a data error."""
+    if not path:
+        return None
+    with _stage("reference"):
+        if not Path(path).is_file():
+            raise ConfigError(f"file not found: {path}")
+        ref = validate.parse_reference_csv(Path(path).read_bytes()).capacity_mw
+        if ref is None:
+            return None
+        lo, hi = max(ref.start_year, years[0]), min(ref.end_year, years[-1])
+        if lo > hi:
+            raise DataError("reference years do not overlap the study period")
+        return ref.slice(lo, hi)
 
 
 def load_fleet(turbines, extension=None, exclusions=None) -> fleet_mod.Fleet:
@@ -224,179 +283,237 @@ def load_fleet(turbines, extension=None, exclusions=None) -> fleet_mod.Fleet:
     return fleet_mod.preprocess(records, exclusion_ids)
 
 
-def run_pipeline(config: RunConfig) -> ReportBundle:
-    """Execute every stage and write the report bundle; see module docs."""
-    config.check()
-    years = config.years
-    year_list = list(years)
+@dataclass
+class FleetSeries:
+    """The preprocessed fleet and its count, swept area and capacity per year."""
 
+    fleet: fleet_mod.Fleet
+    n: AnnualSeries
+    area: AnnualSeries
+    capacity: AnnualSeries
+
+
+def fleet_stage(config: RunConfig) -> FleetSeries:
     with _stage("fleet"):
         fleet = load_fleet(config.turbines, config.extension, config.exclusions)
-        n_series = fleet_mod.annual_counts(fleet, years)
-        area_series = fleet_mod.annual_swept_area(fleet, years)
-        capacity_series = fleet_mod.annual_capacity(fleet, years)
         log.info("fleet: %d turbines (%s dropped)", len(fleet.turbines), fleet.provenance)
+        return FleetSeries(fleet, fleet_mod.annual_counts(fleet, config.years),
+                           fleet_mod.annual_swept_area(fleet, config.years),
+                           fleet_mod.annual_capacity(fleet, config.years))
 
+
+@dataclass
+class PowerSeries:
+    """Input and output power of the study years, the ratios derived from
+    them, and output, input, efficiency and density per calendar month."""
+
+    #: every P_in series and the calm-hour count, from one kernel pass
+    pin: powerflux.ReportPin
+    p_out: AnnualSeries
+    input_density: AnnualSeries
+    output_density: AnnualSeries
+    efficiency: AnnualSeries
+    capacity_factor: AnnualSeries
+    specific_power: AnnualSeries
+    #: per calendar month of the study years, in time order
+    monthly_p_out: list[float]
+    monthly_efficiency: list[float]
+    monthly_density: list[float]
+
+
+def power_stage(config: RunConfig, fleet: FleetSeries) -> PowerSeries:
+    """P_in from one kernel pass over the grid, P_out from the generation file."""
+    years = config.years
     with _stage("windgrid"):
         grid = windgrid.load_windgrid(config.windgrid)
         log.info("windgrid: %d steps, %dx%d cells", grid.n_time,
                  len(grid.lats), len(grid.lons))
 
     with _stage("powerflux"):
-        pins = powerflux.report_pin(grid, fleet, years, config.reference_height,
+        pins = powerflux.report_pin(grid, fleet.fleet, years, config.reference_height,
                                     config.workers)
-        pin, pin_avg, pin_ref_avg = pins.annual, pins.annual_avg, pins.annual_ref_avg
         energy = powerflux.parse_generation_csv(Path(config.generation).read_bytes())
-        pout = AnnualSeries(config.start_year,
-                            [powerflux.pout_series(energy, y) for y in year_list], "W")
-        monthly_periods = [(y, m) for y in year_list for m in range(1, 13)]
-        monthly_pout = [powerflux.pout_series(energy, p) for p in monthly_periods]
-        monthly = powerflux.PowerAggregates(
-            period=monthly_periods, p_in=pins.monthly, p_out=monthly_pout,
-            area=[area_series.value(p[0]) for p in monthly_periods],
-            n=[n_series.value(p[0]) for p in monthly_periods],
-            capacity=[capacity_series.value(p[0]) * 1e6 for p in monthly_periods])
+        p_in = pins.annual
+        p_out = AnnualSeries(years.start, [powerflux.pout_series(energy, y) for y in years],
+                             "W")
+        area = fleet.area.values
+        capacity_w = [cap * 1e6 for cap in fleet.capacity.values]
+        monthly_p_out = [powerflux.pout_series(energy, (y, m))
+                         for y in years for m in range(1, 13)]
 
-        density_in = AnnualSeries(config.start_year,
-                                  [powerflux.input_power_density(p, a)
-                                   for p, a in zip(pin.values, area_series.values)], "W/m²")
-        density_out = AnnualSeries(config.start_year,
-                                   [powerflux.output_power_density(p, a)
-                                    for p, a in zip(pout.values, area_series.values)], "W/m²")
-        efficiency = AnnualSeries(config.start_year,
-                                  [powerflux.system_efficiency(po, pi)
-                                   for po, pi in zip(pout.values, pin.values)],
-                                  "dimensionless")
-        cap_factor = AnnualSeries(config.start_year,
-                                  [powerflux.capacity_factor(po, cap * 1e6)
-                                   for po, cap in zip(pout.values, capacity_series.values)],
-                                  "dimensionless")
-        spec_power = AnnualSeries(config.start_year,
-                                  [fleet_mod.specific_power(cap * 1e6, a)
-                                   for cap, a in zip(capacity_series.values,
-                                                     area_series.values)], "W/m²")
+        def annual(ratio, xs, ys, unit):
+            return AnnualSeries(years.start, [ratio(x, y) for x, y in zip(xs, ys)], unit)
 
+        return PowerSeries(
+            pin=pins, p_out=p_out,
+            input_density=annual(powerflux.input_power_density, p_in.values, area, "W/m²"),
+            output_density=annual(powerflux.output_power_density, p_out.values, area,
+                                  "W/m²"),
+            efficiency=annual(powerflux.system_efficiency, p_out.values, p_in.values,
+                              "dimensionless"),
+            capacity_factor=annual(powerflux.capacity_factor, p_out.values, capacity_w,
+                                   "dimensionless"),
+            specific_power=annual(fleet_mod.specific_power, capacity_w, area, "W/m²"),
+            monthly_p_out=monthly_p_out,
+            monthly_efficiency=[powerflux.system_efficiency(po, pi)
+                                for po, pi in zip(monthly_p_out, pins.monthly)],
+            monthly_density=[powerflux.input_power_density(pi, area[k // 12])
+                             for k, pi in enumerate(pins.monthly)])
+
+
+def decomposition_stage(n: AnnualSeries, area: AnnualSeries, p_in: AnnualSeries,
+                        p_out: AnnualSeries, base_year: int,
+                        p_in_avg: AnnualSeries | None = None,
+                        p_in_ref_avg: AnnualSeries | None = None,
+                        ) -> decomp.DecompositionResult:
+    """The four factors, indexed to ``base_year``, and, given both long-term
+    average input powers, the additive input-density effects."""
     with _stage("decomp"):
-        result = decomp.multiplicative_decomposition(n_series, area_series, pin, pout)
-        decomp.indexed_factors(result, config.base_year)
-        additive = decomp.additive_pin_decomposition(pin, pin_avg, pin_ref_avg,
-                                                     area_series, config.base_year)
-        result.additive = additive.additive
-        result.additive_identity_error = additive.additive_identity_error
+        result = decomp.multiplicative_decomposition(n, area, p_in, p_out)
+        decomp.indexed_factors(result, base_year)
+        if p_in_avg is not None and p_in_ref_avg is not None:
+            additive = decomp.additive_pin_decomposition(p_in, p_in_avg, p_in_ref_avg,
+                                                         area, base_year)
+            result.additive = additive.additive
+            result.additive_identity_error = additive.additive_identity_error
+        return result
 
+
+@dataclass
+class TrendResult:
+    """Linear time trends of the study years and the constant-density
+    counterfactual efficiency."""
+
+    fits: dict[str, trends.OlsFit]
+    #: efficiency under a constant input density; None below three years
+    counterfactual: AnnualSeries | None
+    #: 1 when a constant input density left the observed efficiency unchanged
+    counterfactual_fallbacks: int
+    #: Pearson r of monthly efficiency and input density; None when undefined
+    monthly_correlation: float | None
+
+
+def trends_stage(power: PowerSeries) -> TrendResult:
     with _stage("trends"):
+        years = list(power.efficiency.years)
         fits = {
-            "output_power_density": trends.ols_fit(year_list, density_out.values),
-            "input_power_density": trends.ols_fit(year_list, density_in.values),
-            "efficiency": trends.ols_fit(year_list, efficiency.values),
+            "output_power_density": trends.ols_fit(years, power.output_density.values),
+            "input_power_density": trends.ols_fit(years, power.input_density.values),
+            "efficiency": trends.ols_fit(years, power.efficiency.values),
         }
         counterfactual, fallbacks = None, 0
-        if len(year_list) >= 3:
-            counterfactual, fallback = trends.counterfactual_efficiency(efficiency, density_in)
+        if len(years) >= 3:
+            counterfactual, fallback = trends.counterfactual_efficiency(
+                power.efficiency, power.input_density)
             fallbacks = int(fallback)
-            fits["counterfactual_efficiency"] = trends.ols_fit(
-                year_list, counterfactual.values)
-        monthly_eff = [powerflux.system_efficiency(po, pi)
-                       for po, pi in zip(monthly.p_out, monthly.p_in)]
-        monthly_density = [powerflux.input_power_density(pi, a)
-                           for pi, a in zip(monthly.p_in, monthly.area)]
+            fits["counterfactual_efficiency"] = trends.ols_fit(years, counterfactual.values)
         try:
-            monthly_r = trends.pearson(monthly_density, monthly_eff)
+            monthly_r = trends.pearson(power.monthly_density, power.monthly_efficiency)
         except ValueError:
             monthly_r = None  # constant fixture fields have no correlation
+        return TrendResult(fits, counterfactual, fallbacks, monthly_r)
 
+
+@dataclass
+class Validation:
+    """Capacity per scenario label, its percent difference from the reference
+    (empty without one) and the missing-field shares."""
+
+    scenarios: dict[str, AnnualSeries]
+    relative_difference: dict[str, AnnualSeries]
+    missingness: dict[str, AnnualSeries]
+
+
+def validation_stage(fleet: fleet_mod.Fleet, years: range, scenarios: list[str],
+                     reference: AnnualSeries | None) -> Validation:
+    """``reference`` is ``load_reference``'s slice of the study years."""
     with _stage("validate"):
-        scenario_series = {label: validate.scenario_capacity(
-            fleet, years, parse_scenario(label)) for label in config.scenarios}
+        capacity = {label: validate.scenario_capacity(fleet, years, parse_scenario(label))
+                    for label in scenarios}
         missing = validate.missingness_report(fleet.turbines)
-        reference = None
-        rel_diff: dict[str, AnnualSeries] = {}
-        if config.reference:
-            reference = validate.parse_reference_csv(Path(config.reference).read_bytes())
-            if reference.capacity_mw is not None:
-                ref = reference.capacity_mw
-                lo = max(ref.start_year, config.start_year)
-                hi = min(ref.end_year, config.end_year)
-                if lo <= hi:
-                    ref_slice = ref.slice(lo, hi)
-                    for label, series in scenario_series.items():
-                        rel_diff[label] = validate.relative_difference(
-                            series.slice(lo, hi), ref_slice)
-        low_confidence = [y for y in year_list if y < validate.LOW_CONFIDENCE_BEFORE]
+        rel_diff = {}
+        if reference is not None:
+            lo, hi = reference.start_year, reference.end_year
+            rel_diff = {label: validate.relative_difference(series.slice(lo, hi), reference)
+                        for label, series in capacity.items()}
+        return Validation(capacity, rel_diff, missing)
 
-    report = {
+
+def run_pipeline(config: RunConfig) -> ReportBundle:
+    """Execute every stage and write the report bundle; see module docs."""
+    config.check()
+    reference = load_reference(config.reference, config.years)
+    fleet = fleet_stage(config)
+    power = power_stage(config, fleet)
+    result = decomposition_stage(fleet.n, fleet.area, power.pin.annual, power.p_out,
+                                 config.base_year, power.pin.annual_avg,
+                                 power.pin.annual_ref_avg)
+    trend = trends_stage(power)
+    checks = validation_stage(fleet.fleet, config.years, config.scenarios, reference)
+    return write_stage(config, fleet, power, result, trend, checks)
+
+
+# ---------------------------------------------------------------------------
+# report and bundle
+# ---------------------------------------------------------------------------
+
+def _report(config: RunConfig, fleet: FleetSeries, series: dict[str, AnnualSeries | None],
+            result: decomp.DecompositionResult, trend: TrendResult, checks: Validation,
+            calm_hours: int) -> dict:
+    def each(named):
+        return {k: series_json(s) if s is not None else None for k, s in named.items()}
+
+    return {
         "schema_version": SCHEMA_VERSION,
         "study_period": [config.start_year, config.end_year],
         "base_year": config.base_year,
         "reference_height_m": config.reference_height,
-        "inputs": {
-            "turbines": str(config.turbines),
-            "extension": str(config.extension) if config.extension else None,
-            "exclusions": str(config.exclusions) if config.exclusions else None,
-            "windgrid": str(config.windgrid),
-            "generation": str(config.generation),
-            "reference": str(config.reference) if config.reference else None,
-        },
+        "inputs": {key: str(path) if (path := getattr(config, key)) else None
+                   for key in REQUIRED_INPUTS + OPTIONAL_INPUTS},
         "fleet": {
-            "n_turbines": len(fleet.turbines),
-            "provenance": fleet.provenance,
-            "imputed_counts": fleet.imputation.imputed_counts,
-            "imputation_fallback_years": fleet.imputation.fallback_years,
+            "n_turbines": len(fleet.fleet.turbines),
+            "provenance": fleet.fleet.provenance,
+            "imputed_counts": fleet.fleet.imputation.imputed_counts,
+            "imputation_fallback_years": fleet.fleet.imputation.fallback_years,
         },
-        "series": {
-            "n": _series_json(n_series),
-            "area_m2": _series_json(area_series),
-            "capacity_mw": _series_json(capacity_series),
-            "p_in_w": _series_json(pin),
-            "p_in_avg_w": _series_json(pin_avg),
-            "p_in_ref_avg_w": _series_json(pin_ref_avg),
-            "p_out_w": _series_json(pout),
-            "input_power_density_w_m2": _series_json(density_in),
-            "output_power_density_w_m2": _series_json(density_out),
-            "efficiency": _series_json(efficiency),
-            "capacity_factor": _series_json(cap_factor),
-            "specific_power_w_m2": _series_json(spec_power),
-            "counterfactual_efficiency":
-                _series_json(counterfactual) if counterfactual else None,
-        },
-        "decomposition": {
-            "factors": {
-                "n": _series_json(result.factors.n),
-                "area_per_turbine": _series_json(result.factors.area_per_turbine),
-                "input_density": _series_json(result.factors.input_density),
-                "efficiency": _series_json(result.factors.efficiency),
-            },
-            "indexed_factors": {
-                "n": _series_json(result.indexed_factors.n),
-                "area_per_turbine": _series_json(result.indexed_factors.area_per_turbine),
-                "input_density": _series_json(result.indexed_factors.input_density),
-                "efficiency": _series_json(result.indexed_factors.efficiency),
-            },
-            "additive": {
-                "baseline_w_m2": result.additive.baseline,
-                "new_locations": _series_json(result.additive.new_locations),
-                "hub_height": _series_json(result.additive.hub_height),
-                "annual_variation": _series_json(result.additive.annual_variation),
-                "note": ADDITIVE_NOTE,
-            },
-            "factor_identity_error": result.factor_identity_error,
-            "additive_identity_error": result.additive_identity_error,
-        },
-        "trends": {name: _fit_json(fit) for name, fit in fits.items()},
-        "monthly_efficiency_density_correlation": monthly_r,
+        "series": each(series),
+        "decomposition": decomposition_json(result),
+        "trends": {name: fit_json(fit) for name, fit in trend.fits.items()},
+        "monthly_efficiency_density_correlation": trend.monthly_correlation,
         "validation": {
-            "scenarios": {k: _series_json(v) for k, v in scenario_series.items()},
-            "relative_capacity_difference_pct":
-                {k: _series_json(v) for k, v in rel_diff.items()},
-            "missingness": {k: _series_json(v) for k, v in missing.items()},
-            "low_confidence_years": low_confidence,
+            "scenarios": each(checks.scenarios),
+            "relative_capacity_difference_pct": each(checks.relative_difference),
+            "missingness": each(checks.missingness),
+            "low_confidence_years": [y for y in config.years
+                                     if y < validate.LOW_CONFIDENCE_BEFORE],
         },
         "events": {
-            "calm_hours": pins.calm_hours,
-            "counterfactual_fallbacks": fallbacks,
+            "calm_hours": calm_hours,
+            "counterfactual_fallbacks": trend.counterfactual_fallbacks,
         },
     }
 
+
+def write_stage(config: RunConfig, fleet: FleetSeries, power: PowerSeries,
+                result: decomp.DecompositionResult, trend: TrendResult,
+                checks: Validation) -> ReportBundle:
+    """Build report.json and write the bundle through a staging directory."""
+    series = {  # report.json's "series", in series.csv row order
+        "n": fleet.n,
+        "area_m2": fleet.area,
+        "capacity_mw": fleet.capacity,
+        "p_in_w": power.pin.annual,
+        "p_in_avg_w": power.pin.annual_avg,
+        "p_in_ref_avg_w": power.pin.annual_ref_avg,
+        "p_out_w": power.p_out,
+        "input_power_density_w_m2": power.input_density,
+        "output_power_density_w_m2": power.output_density,
+        "efficiency": power.efficiency,
+        "capacity_factor": power.capacity_factor,
+        "specific_power_w_m2": power.specific_power,
+        "counterfactual_efficiency": trend.counterfactual,
+    }
+    report = _report(config, fleet, series, result, trend, checks, power.pin.calm_hours)
     with _stage("report"):
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -405,8 +522,7 @@ def run_pipeline(config: RunConfig) -> ReportBundle:
             shutil.rmtree(staging)
         staging.mkdir()
         try:
-            files = _write_bundle(staging, report, monthly, monthly_eff,
-                                  monthly_density, result, fits)
+            files = _write_bundle(staging, report, series, power, result, trend, checks)
             for name in files:
                 os.replace(staging / name, out_dir / name)
         finally:
@@ -414,7 +530,7 @@ def run_pipeline(config: RunConfig) -> ReportBundle:
     return ReportBundle(report=report, out_dir=out_dir, files=files)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -425,136 +541,121 @@ def _num(v) -> str:
     return repr(float(v))
 
 
-def _write_bundle(staging: Path, report: dict, monthly, monthly_eff,
-                  monthly_density, result, fits) -> list[str]:
+def _long_rows(named: dict[str, AnnualSeries | None]):
+    """``(name, year, value, unit)`` for every value of every named series;
+    absent (None) series give no rows."""
+    for name, s in named.items():
+        if s is not None:
+            for year, v in s.items():
+                yield name, year, _num(v), s.unit
+
+
+def write_validation_tables(out_dir: Path, checks: Validation) -> list[str]:
+    """scenarios.csv, relative_difference.csv (with a reference) and
+    missingness.csv; returns the names written."""
+    tables = [("scenarios.csv", ["scenario", "year", "capacity_mw"],
+               [[label, y, v] for label, y, v, _ in _long_rows(checks.scenarios)])]
+    if checks.relative_difference:
+        tables.append(("relative_difference.csv", ["scenario", "year", "percent"],
+                       [[label, y, v] for label, y, v, _
+                        in _long_rows(checks.relative_difference)]))
+    tables.append(("missingness.csv", ["year", "field", "share"],
+                   [[y, field, v] for field, y, v, _ in _long_rows(checks.missingness)]))
+    for name, header, rows in tables:
+        write_csv(out_dir / name, header, rows)
+    return [name for name, _, _ in tables]
+
+
+def _write_bundle(staging: Path, report: dict, series: dict[str, AnnualSeries | None],
+                  power: PowerSeries, result: decomp.DecompositionResult,
+                  trend: TrendResult, checks: Validation) -> list[str]:
     files = []
 
-    def emit(name: str, content: str) -> None:
-        (staging / name).write_text(content, encoding="utf-8")
+    def table(name: str, header: list[str], rows) -> None:
+        write_csv(staging / name, header, rows)
         files.append(name)
 
-    emit("report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    (staging / "report.json").write_text(json_text(report), encoding="utf-8")
+    files.append("report.json")
 
-    series_rows = []
-    for name, payload in report["series"].items():
-        if payload is None:
-            continue
-        for i, v in enumerate(payload["values"]):
-            series_rows.append([payload["start_year"] + i, name, _num(v), payload["unit"]])
-    _write_csv(staging / "series.csv", ["year", "series", "value", "unit"], series_rows)
-    files.append("series.csv")
+    table("series.csv", ["year", "series", "value", "unit"],
+          [[y, name, v, unit] for name, y, v, unit in _long_rows(series)])
 
-    dec_rows = []
-    dec = report["decomposition"]
-    for group, prefix in (("factors", "factor_"), ("indexed_factors", "indexed_")):
-        for name, payload in dec[group].items():
-            for i, v in enumerate(payload["values"]):
-                dec_rows.append([payload["start_year"] + i, prefix + name,
-                                 _num(v), payload["unit"]])
-    for name in ("new_locations", "hub_height", "annual_variation"):
-        payload = dec["additive"][name]
-        for i, v in enumerate(payload["values"]):
-            dec_rows.append([payload["start_year"] + i, "effect_" + name,
-                             _num(v), payload["unit"]])
-    _write_csv(staging / "decomposition.csv",
-               ["year", "component", "value", "unit"], dec_rows)
-    files.append("decomposition.csv")
-
+    components = {"factor_" + k: s for k, s in _factors(result.factors).items()}
+    components.update({"indexed_" + k: s
+                       for k, s in _factors(result.indexed_factors).items()})
     additive = result.additive
-    waterfall_rows = []
+    components.update({"effect_new_locations": additive.new_locations,
+                       "effect_hub_height": additive.hub_height,
+                       "effect_annual_variation": additive.annual_variation})
+    table("decomposition.csv", ["year", "component", "value", "unit"],
+          [[y, name, v, unit] for name, y, v, unit in _long_rows(components)])
+
     segments: dict[int, list[tuple[str, float, float]]] = {}
     for i, year in enumerate(result.years):
-        level = 0.0
-        segs = []
+        level, segments[year] = 0.0, []
         for label, v in (("baseline", additive.baseline),
                          ("new_locations", additive.new_locations.values[i]),
                          ("hub_height", additive.hub_height.values[i]),
                          ("annual_variation", additive.annual_variation.values[i])):
-            segs.append((label, level, level + v))
-            waterfall_rows.append([year, label, _num(level), _num(level + v)])
+            segments[year].append((label, level, level + v))
             level += v
-        segments[year] = segs
-    _write_csv(staging / "waterfall.csv", ["year", "component", "y0", "y1"],
-               waterfall_rows)
-    files.append("waterfall.csv")
+    table("waterfall.csv", ["year", "component", "y0", "y1"],
+          [[year, label, _num(y0), _num(y1)]
+           for year, segs in segments.items() for label, y0, y1 in segs])
 
-    monthly_rows = [
-        [p[0], p[1], _num(pi), _num(po), _num(e), _num(d)]
-        for p, pi, po, e, d in zip(monthly.period, monthly.p_in, monthly.p_out,
-                                   monthly_eff, monthly_density)
-    ]
-    _write_csv(staging / "monthly.csv",
-               ["year", "month", "p_in_w", "p_out_w", "efficiency",
-                "input_power_density_w_m2"], monthly_rows)
-    files.append("monthly.csv")
+    months = [(y, m) for y in result.years for m in range(1, 13)]
+    table("monthly.csv",
+          ["year", "month", "p_in_w", "p_out_w", "efficiency", "input_power_density_w_m2"],
+          [[y, m, _num(pi), _num(po), _num(e), _num(d)]
+           for (y, m), pi, po, e, d in zip(months, power.pin.monthly,
+                                           power.monthly_p_out, power.monthly_efficiency,
+                                           power.monthly_density)])
 
-    scen_rows = []
-    for label, payload in report["validation"]["scenarios"].items():
-        for i, v in enumerate(payload["values"]):
-            scen_rows.append([label, payload["start_year"] + i, _num(v)])
-    _write_csv(staging / "scenarios.csv", ["scenario", "year", "capacity_mw"], scen_rows)
-    files.append("scenarios.csv")
+    files.extend(write_validation_tables(staging, checks))
 
-    rel = report["validation"]["relative_capacity_difference_pct"]
-    if rel:
-        rel_rows = []
-        for label, payload in rel.items():
-            for i, v in enumerate(payload["values"]):
-                rel_rows.append([label, payload["start_year"] + i, _num(v)])
-        _write_csv(staging / "relative_difference.csv",
-                   ["scenario", "year", "percent"], rel_rows)
-        files.append("relative_difference.csv")
-
-    miss_rows = []
-    for fname, payload in report["validation"]["missingness"].items():
-        for i, v in enumerate(payload["values"]):
-            miss_rows.append([payload["start_year"] + i, fname, _num(v)])
-    _write_csv(staging / "missingness.csv", ["year", "field", "share"], miss_rows)
-    files.append("missingness.csv")
-
-    for name, content in emit_plots(report, monthly_eff, monthly_density,
-                                    segments, fits).items():
-        emit(name, content)
+    for name, content in emit_plots(power, result, trend, checks, segments).items():
+        (staging / name).write_text(content, encoding="utf-8")
+        files.append(name)
     return files
 
 
-def emit_plots(report: dict, monthly_eff, monthly_density, segments, fits) -> dict[str, str]:
+def emit_plots(power: PowerSeries, result: decomp.DecompositionResult, trend: TrendResult,
+               checks: Validation, segments) -> dict[str, str]:
     """One SVG per result display; every chart's data also exists as CSV."""
-    series = report["series"]
-    years = list(range(report["study_period"][0], report["study_period"][1] + 1))
+    years = result.years
     plots: dict[str, str] = {}
 
-    dens_out = series["output_power_density_w_m2"]["values"]
-    fit = fits["output_power_density"]
-    trend_ys = [fit.predict(x) for x in years]
+    fit = trend.fits["output_power_density"]
     plots["output_power_density.svg"] = svgplot.line_chart(
         "Output power density", "year", "W/m2",
-        [("output power density", years, dens_out), ("trend", years, trend_ys)],
+        [("output power density", years, power.output_density.values),
+         ("trend", years, [fit.predict(x) for x in years])],
         annotation=svgplot.slope_label(fit.slope), markers=True)
 
-    indexed = report["decomposition"]["indexed_factors"]
+    indexed = result.indexed_factors
     plots["driving_factors.svg"] = svgplot.line_chart(
         "Driving factors, % of base year", "year", "%",
-        [("turbines", years, indexed["n"]["values"]),
-         ("area per turbine", years, indexed["area_per_turbine"]["values"]),
-         ("input power density", years, indexed["input_density"]["values"]),
-         ("system efficiency", years, indexed["efficiency"]["values"])],
+        [("turbines", years, indexed.n.values),
+         ("area per turbine", years, indexed.area_per_turbine.values),
+         ("input power density", years, indexed.input_density.values),
+         ("system efficiency", years, indexed.efficiency.values)],
         markers=True)
 
-    eff_series = [("system efficiency", years, series["efficiency"]["values"])]
-    if series["counterfactual_efficiency"] is not None:
+    eff_series = [("system efficiency", years, power.efficiency.values)]
+    if trend.counterfactual is not None:
         eff_series.append(("constant-density counterfactual", years,
-                           series["counterfactual_efficiency"]["values"]))
+                           trend.counterfactual.values))
     plots["efficiency.svg"] = svgplot.line_chart(
         "System efficiency", "year", "efficiency", eff_series,
-        annotation=svgplot.slope_label(fits["efficiency"].slope), markers=True)
+        annotation=svgplot.slope_label(trend.fits["efficiency"].slope), markers=True)
 
-    additive = report["decomposition"]["additive"]
+    additive = result.additive
     plots["additive_effects.svg"] = svgplot.grouped_bars(
         "Input power density effects", "year", "W/m2", years,
-        [("new locations", additive["new_locations"]["values"]),
-         ("hub height", additive["hub_height"]["values"]),
-         ("annual variation", additive["annual_variation"]["values"])])
+        [("new locations", additive.new_locations.values),
+         ("hub height", additive.hub_height.values),
+         ("annual variation", additive.annual_variation.values)])
 
     plots["waterfall.svg"] = svgplot.stacked_segments(
         "Input power density build-up", "year", "W/m2", years, segments,
@@ -562,26 +663,20 @@ def emit_plots(report: dict, monthly_eff, monthly_density, segments, fits) -> di
 
     plots["efficiency_vs_density.svg"] = svgplot.scatter_chart(
         "Monthly system efficiency vs input power density",
-        "input power density, W/m2", "efficiency", monthly_density, monthly_eff)
+        "input power density, W/m2", "efficiency", power.monthly_density,
+        power.monthly_efficiency)
 
     plots["capacity_factors.svg"] = svgplot.line_chart(
         "Capacity factor", "year", "capacity factor",
-        [("capacity factor", years, series["capacity_factor"]["values"])], markers=True)
+        [("capacity factor", years, power.capacity_factor.values)], markers=True)
 
-    missing = report["validation"]["missingness"]
-    miss_series = []
-    for fname, payload in missing.items():
-        ys = list(range(payload["start_year"], payload["start_year"] + len(payload["values"])))
-        miss_series.append((fname, ys, payload["values"]))
     plots["missingness.svg"] = svgplot.line_chart(
         "Share of missing meta parameters", "commissioning year", "share",
-        miss_series, markers=True)
+        [(f, list(s.years), s.values) for f, s in checks.missingness.items()],
+        markers=True)
 
-    rel = report["validation"]["relative_capacity_difference_pct"]
-    rel_series = []
-    for label, payload in rel.items():
-        ys = list(range(payload["start_year"], payload["start_year"] + len(payload["values"])))
-        rel_series.append((label, ys, payload["values"]))
+    rel_series = [(label, list(s.years), s.values)
+                  for label, s in checks.relative_difference.items()]
     plots["relative_difference.svg"] = (
         svgplot.line_chart("Capacity: registry vs reference", "year", "%",
                            rel_series, markers=True)

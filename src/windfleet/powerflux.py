@@ -35,33 +35,9 @@ BETZ_LIMIT = 16.0 / 27.0
 #: fixed turbine-chunk size of the kernel pass
 CHUNK_TURBINES = 64
 
-#: a period is a calendar year or a (year, month) pair, UTC
-Period = int | tuple[int, int]
-
 
 class BetzLimitWarning(UserWarning):
     """System efficiency above the Betz limit signals inconsistent inputs."""
-
-
-@dataclass
-class PowerAggregates:
-    """Aligned aggregate series over a list of periods."""
-
-    period: list
-    p_in: list[float]
-    p_out: list[float]
-    area: list[float]
-    n: list[float]
-    capacity: list[float]
-
-    def __post_init__(self):
-        lengths = {len(self.period), len(self.p_in), len(self.p_out),
-                   len(self.area), len(self.n), len(self.capacity)}
-        if len(lengths) != 1:
-            raise ValueError("aggregate fields must have equal lengths")
-        if any(v < 0 for v in self.p_in) or any(v < 0 for v in self.area) \
-                or any(v < 0 for v in self.n):
-            raise ValueError("p_in, area and n must be nonnegative")
 
 
 def period_bounds(period) -> tuple[int, int]:

@@ -263,9 +263,27 @@ class TestDecomposeTrendsSubcommands:
                      "--pout", str(tmp_path / "pout.csv"), "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["factors"]["n"] == [2.0, 4.0]
-        assert payload["factors"]["area_per_turbine"] == [100.0, 100.0]
-        assert payload["indexed_factors"]["n"] == [100.0, 200.0]
+        assert payload["factors"]["n"]["values"] == [2.0, 4.0]
+        assert payload["factors"]["area_per_turbine"]["values"] == [100.0, 100.0]
+        assert payload["indexed_factors"]["n"]["values"] == [100.0, 200.0]
+
+    def test_decompose_writes_report_decomposition(self, fixture_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run_report(fixture_dir, out) == 0
+        report = json.loads((out / "report.json").read_text())
+        args = []
+        for flag, key in (("--n", "n"), ("--area", "area_m2"), ("--pin", "p_in_w"),
+                          ("--pout", "p_out_w"), ("--pin-avg", "p_in_avg_w"),
+                          ("--pin-ref-avg", "p_in_ref_avg_w")):
+            series = report["series"][key]
+            path = tmp_path / f"{key}.csv"
+            path.write_text("year,value,unit\n" + "".join(
+                f"{series['start_year'] + i},{v!r},{series['unit']}\n"
+                for i, v in enumerate(series["values"])), encoding="utf-8")
+            args += [flag, str(path)]
+        dec = tmp_path / "dec.json"
+        assert main(["decompose", *args, "--out", str(dec)]) == 0
+        assert json.loads(dec.read_text()) == report["decomposition"]
 
     def test_trends_series(self, tmp_path):
         self.write_series(tmp_path / "s.csv", [1.0, 2.0, 3.0])
@@ -346,6 +364,15 @@ class TestValidateSubcommand:
         assert registry_reads == []
         assert not out.exists()
 
+    def test_missing_reference_is_config_error(self, fixture_dir, tmp_path, capsys,
+                                               registry_reads):
+        out = tmp_path / "val"
+        missing = tmp_path / "nowhere.csv"
+        assert main(self.validate_args(fixture_dir, out, "--reference", str(missing))) == 2
+        assert capsys.readouterr().err.startswith(f"reference: file not found: {missing}")
+        assert registry_reads == []
+        assert not out.exists()
+
     def test_each_scenario_computed_once(self, fixture_dir, tmp_path, monkeypatch):
         calls = []
         scenario_capacity = validate.scenario_capacity
@@ -367,6 +394,57 @@ class TestValidateSubcommand:
         assert run_report(fixture_dir, tmp_path / "out",
                           ["--scenarios", ",".join(labels)]) == 0
         assert calls == [parse_scenario(label) for label in labels]
+
+    def test_tables_identical_to_report_bundle(self, fixture_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run_report(fixture_dir, out) == 0
+        val = tmp_path / "val"
+        assert main(self.validate_args(
+            fixture_dir, val, "--reference", str(fixture_dir / "reference.csv"))) == 0
+        names = ("scenarios.csv", "missingness.csv", "relative_difference.csv")
+        assert sorted(p.name for p in val.iterdir()) == sorted(names)
+        for name in names:
+            assert (val / name).read_bytes() == (out / name).read_bytes(), name
+
+
+class TestReportReferencePolicy:
+    """``report`` checks its reference as ``validate`` does: before the
+    registry or the grid is read, exit 3 on a bad one."""
+
+    @pytest.fixture
+    def compute(self, monkeypatch):
+        """The compute steps a run reaches: registry parses and kernel passes."""
+        seen = []
+        for module, name in ((fleet, "parse_turbine_csv"), (powerflux, "_map_chunks")):
+            def recording(*args, _original=getattr(module, name), _name=name):
+                seen.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, recording)
+        return seen
+
+    def run_with_reference(self, fixture_dir, tmp_path, text):
+        reference = tmp_path / "bad_reference.csv"
+        reference.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        return run_report(fixture_dir, out, ["--reference", str(reference)]), out
+
+    def test_reference_outside_study(self, fixture_dir, tmp_path, compute, capsys):
+        code, out = self.run_with_reference(
+            fixture_dir, tmp_path, "year,installed_capacity_mw,generation_gwh\n"
+                                   "1999,100.0,\n2000,120.0,\n")
+        assert code == 3
+        assert "do not overlap the study period" in capsys.readouterr().err
+        assert compute == []
+        assert not out.exists()
+
+    def test_malformed_reference_header(self, fixture_dir, tmp_path, compute, capsys):
+        code, out = self.run_with_reference(
+            fixture_dir, tmp_path, "year,capacity\n2010,100.0\n")
+        assert code == 3
+        assert "reference CSV header" in capsys.readouterr().err
+        assert compute == []
+        assert not out.exists()
 
 
 class TestScenarioParsing:

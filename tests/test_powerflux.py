@@ -16,7 +16,7 @@ from conftest import const_grid, fleet_of, grid_from_field, turbine
 from windfleet import powerflux
 from windfleet.errors import DataError
 from windfleet.powerflux import (BETZ_LIMIT, RHO, BetzLimitWarning,
-                                 MonthlySeries, PowerAggregates, aggregate_pin,
+                                 MonthlySeries, aggregate_pin,
                                  annual_pin_series, capacity_factor, cube_sums,
                                  hours_in_period, input_power_density,
                                  kinetic_power, output_power_density,
@@ -436,14 +436,3 @@ class TestRatios:
         assert BETZ_LIMIT == pytest.approx(16 / 27)
         assert RHO == 1.225
 
-
-class TestPowerAggregates:
-    def test_misaligned_lengths(self):
-        with pytest.raises(ValueError, match="equal lengths"):
-            PowerAggregates(period=[2010], p_in=[1.0, 2.0], p_out=[1.0],
-                            area=[1.0], n=[1.0], capacity=[1.0])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            PowerAggregates(period=[2010], p_in=[-1.0], p_out=[1.0],
-                            area=[1.0], n=[1.0], capacity=[1.0])
