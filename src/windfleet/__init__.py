@@ -2,6 +2,14 @@
 gridded wind data, multiplicative output decomposition, additive
 input-density decomposition, trend and validation analyses."""
 
+import os
+
+# The chunk pool (--workers) is windfleet's only parallelism: one BLAS thread
+# per process unless the environment sets a thread count.  This must run
+# before numpy is first imported; it has no effect after that.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .decomp import (additive_pin_decomposition, index_relative,
                      multiplicative_decomposition)
 from .errors import ConfigError, DataError, InvariantError

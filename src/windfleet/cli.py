@@ -172,12 +172,15 @@ def _cmd_pin(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if bool(args.pin_avg) != bool(args.pin_ref_avg):
+        raise ConfigError("the additive decomposition needs both --pin-avg and "
+                          "--pin-ref-avg")
     n = _read_series_csv(args.n)
     area = _read_series_csv(args.area)
     p_in = _read_series_csv(args.pin)
     p_out = _read_series_csv(args.pout)
     p_in_avg = p_in_ref_avg = None
-    if args.pin_avg and args.pin_ref_avg:
+    if args.pin_avg:
         p_in_avg = _read_series_csv(args.pin_avg)
         p_in_ref_avg = _read_series_csv(args.pin_ref_avg)
     result = pipeline.decomposition_stage(n, area, p_in, p_out,

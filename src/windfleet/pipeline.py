@@ -72,6 +72,13 @@ def _stage(name: str):
         raise PipelineError(name, str(exc), EXIT_DATA) from exc
 
 
+def _require_file(name: str, path) -> None:
+    """A configured input file that is missing is a configuration error named
+    after its input."""
+    if path and not Path(path).is_file():
+        raise PipelineError(name, f"file not found: {path}", EXIT_CONFIG)
+
+
 @dataclass
 class RunConfig:
     turbines: str
@@ -106,8 +113,7 @@ class RunConfig:
             path = getattr(self, name)
             if not path and name in REQUIRED_INPUTS:
                 raise ConfigError(f"{name}: path not configured")
-            if path and not Path(path).is_file():
-                raise PipelineError(name, f"file not found: {path}", EXIT_CONFIG)
+            _require_file(name, path)
         for label in self.scenarios:
             parse_scenario(label)
 
@@ -271,16 +277,21 @@ def load_reference(path, years: range) -> AnnualSeries | None:
 
 def load_fleet(turbines, extension=None, exclusions=None) -> fleet_mod.Fleet:
     """The fleet stage's input: parse the registry, merge the decommissioning
-    extension, drop the excluded ids, and preprocess (impute) the rest."""
-    records = fleet_mod.parse_turbine_csv(Path(turbines).read_bytes())
-    if extension:
-        ext = fleet_mod.parse_turbine_csv(Path(extension).read_bytes())
-        records = fleet_mod.merge_extension(records, ext)
-    exclusion_ids = set()
-    if exclusions:
-        exclusion_ids = fleet_mod.parse_exclusion_ids(
-            Path(exclusions).read_text(encoding="utf-8"))
-    return fleet_mod.preprocess(records, exclusion_ids)
+    extension, drop the excluded ids, and preprocess (impute) the rest.
+    Missing files fail as configuration errors before anything is read."""
+    for name, path in (("turbines", turbines), ("extension", extension),
+                       ("exclusions", exclusions)):
+        _require_file(name, path)
+    with _stage("fleet"):
+        records = fleet_mod.parse_turbine_csv(Path(turbines).read_bytes())
+        if extension:
+            ext = fleet_mod.parse_turbine_csv(Path(extension).read_bytes())
+            records = fleet_mod.merge_extension(records, ext)
+        exclusion_ids = set()
+        if exclusions:
+            exclusion_ids = fleet_mod.parse_exclusion_ids(
+                Path(exclusions).read_text(encoding="utf-8"))
+        return fleet_mod.preprocess(records, exclusion_ids)
 
 
 @dataclass

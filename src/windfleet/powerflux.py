@@ -82,7 +82,7 @@ BLOCK_STAMPS = 744
 
 @dataclass(frozen=True)
 class _PassInputs:
-    """What every turbine chunk of one pass reads."""
+    """What every turbine chunk of one pass reads, turbines in cell order."""
 
     grid: WindGrid
     #: [turbine, corner] flat node index lat·n_lon + lon, corners as in cell_weights
@@ -95,44 +95,46 @@ class _PassInputs:
     bounds: np.ndarray
 
 
-def _speed_squared(read, u: str, v: str, k0: int, k1: int,
-                   nodes: np.ndarray, local: np.ndarray, corners: np.ndarray) -> np.ndarray:
-    """u² + v² of the bilinear blend at each chunk turbine, [turbine, stamp].
-
-    ``read`` is a ``windgrid.stamp_blocks`` reader.  Of each block only the
-    chunk's ``nodes`` are taken, lifted from f32 to f64 and laid out
-    time-contiguous; ``local`` indexes them per turbine corner.
-    """
-    squares = []
-    for name in (u, v):
-        x = read(name, k0, k1)
-        series = np.ascontiguousarray(np.take(x, nodes, axis=1).T, dtype=np.float64)
-        blend = np.einsum("nct,nc->nt", np.take(series, local, axis=0), corners)
-        squares.append(np.multiply(blend, blend, out=blend))
-    return np.add(*squares, out=squares[0])
-
-
 def _chunk_cube_sums(inputs: _PassInputs, chunk: tuple[int, int]) -> tuple[np.ndarray, int]:
     """Σ v³ per [height, block, turbine] of one turbine chunk, and the
     chunk's calm turbine-stamps.
 
-    With q = u² + v², the power-law speed v100·(h/100)^α, α = log10(v100/v10),
-    cubes to exp(1.5·ln q100 + 1.5·c·(ln q100 − ln q10)), c = log10(h/100).
-    The blend and both logarithms serve every height.  A calm stamp (q10 = 0
-    or q100 = 0) takes zero shear: q100^1.5, which is 0 when q100 = 0.
+    The bilinear blend of each variable in a block is one f64 product of the
+    chunk's [turbine × node] weight matrix, four nonzeros a row, with the
+    variable's values at the chunk's nodes.  With q = u² + v², the power-law
+    speed v100·(h/100)^α, α = log10(v100/v10), cubes to
+    exp(1.5·ln q100 + 1.5·c·(ln q100 − ln q10)), c = log10(h/100).  The blend
+    and both logarithms serve every height.  A calm stamp (q10 = 0 or
+    q100 = 0) takes zero shear: q100^1.5, which is 0 when q100 = 0.
     """
     a, b = chunk
-    shear, corners = inputs.shear[:, a:b, None], inputs.corners[a:b]
+    n, shear = b - a, inputs.shear[:, a:b, None]
     nodes, local = np.unique(inputs.nodes[a:b], return_inverse=True)
-    local = local.reshape(b - a, 4)
+    m = len(nodes)
+    weights = np.zeros((n, m))
+    np.add.at(weights, (np.arange(n)[:, None], local.reshape(n, 4)), inputs.corners[a:b])
     edges = inputs.bounds
-    out = np.empty((len(shear), len(edges) - 1, b - a))
+    out = np.empty((len(shear), len(edges) - 1, n))
     calm = 0
-    with stamp_blocks(inputs.grid, int(np.diff(edges).max(initial=0))) as read:
+    # work space of the longest block, reused by every block: one variable's
+    # values at the chunk's nodes, and u, v, q10, q100 and the cube per turbine
+    longest = int(np.diff(edges).max(initial=0))
+    values = np.empty(longest * m)
+    work = np.empty((5, n * longest))
+
+    def view(buf: np.ndarray, *shape: int) -> np.ndarray:
+        return buf[:math.prod(shape)].reshape(shape)
+
+    with stamp_blocks(inputs.grid, longest) as read:
         for col in range(len(edges) - 1):
             k0, k1 = edges[col], edges[col + 1]
-            q10 = _speed_squared(read, "u10", "v10", k0, k1, nodes, local, corners)
-            q100 = _speed_squared(read, "u100", "v100", k0, k1, nodes, local, corners)
+            x = view(values, k1 - k0, m)
+            u, v, q10, q100, cube = (view(buf, n, k1 - k0) for buf in work)
+            for q, names in ((q10, ("u10", "v10")), (q100, ("u100", "v100"))):
+                for y, name in zip((u, v), names):
+                    x[...] = read(name, k0, k1).take(nodes, axis=1)
+                    np.square(np.matmul(weights, x.T, out=y), out=y)
+                np.add(u, v, out=q)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ln100 = np.log(q100, out=q100)
                 diff = np.log(q10, out=q10)
@@ -143,7 +145,6 @@ def _chunk_cube_sums(inputs: _PassInputs, chunk: tuple[int, int]) -> tuple[np.nd
                 diff[~finite] = 0.0
                 calm += n_calm
             ln100 *= 1.5
-            cube = np.empty_like(diff)
             for h, k in enumerate(shear):
                 np.multiply(diff, k, out=cube)
                 cube += ln100
@@ -153,7 +154,13 @@ def _chunk_cube_sums(inputs: _PassInputs, chunk: tuple[int, int]) -> tuple[np.nd
 
 
 def _chunk_bounds(n: int) -> list[tuple[int, int]]:
-    return [(a, min(a + CHUNK_TURBINES, n)) for a in range(0, n, CHUNK_TURBINES)]
+    """Fixed CHUNK_TURBINES chunks; a lone last turbine joins the chunk
+    before it, because a one-row product takes another BLAS routine whose
+    last bits differ."""
+    starts = list(range(0, n, CHUNK_TURBINES))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
 
 
 # The pass a forked pool worker serves.  Bound by the pool initializer
@@ -290,8 +297,10 @@ def cube_sums(grid: WindGrid, turbines: list[TurbineRecord], height_modes,
     """One kernel pass over grid stamps [k0, k1) at each of ``height_modes``
     (``"hub"`` or a fixed height in meters) for every turbine.
 
-    The fleet is cut into fixed 64-turbine chunks; with ``workers > 1`` the
-    chunks run on one forked pool.  Each chunk's sums are the same wherever
+    The pass orders the turbines by grid cell, so a chunk blends few nodes,
+    cuts them into fixed 64-turbine chunks and scatters the sums back to the
+    order of ``turbines``; with ``workers > 1`` the chunks run on one forked
+    pool.  A turbine's sums do not depend on the chunk that holds it or where
     it runs, so every reduction is bit-identical at any worker count.
     """
     bad = [r.id for r in turbines
@@ -310,13 +319,16 @@ def cube_sums(grid: WindGrid, turbines: list[TurbineRecord], height_modes,
                            / REFERENCE_HEIGHT)
     cells = np.asarray([cell_weights(grid, r.lon, r.lat) for r in turbines]).reshape(-1, 8)
     j0, j1, i0, i1 = cells[:, :4].T.astype(np.intp)
+    order = np.lexsort((i1, i0, j1, j0))
     n_lon = len(grid.lons)
     nodes = np.stack([j0 * n_lon + i0, j0 * n_lon + i1, j1 * n_lon + i0, j1 * n_lon + i1],
                      axis=1)
-    inputs = _PassInputs(grid, nodes, cells[:, 4:], shear, _block_bounds(grid, *stamps))
+    inputs = _PassInputs(grid, nodes[order], cells[order, 4:], shear[:, order],
+                         _block_bounds(grid, *stamps))
     parts = _map_chunks(inputs, workers)
-    sums = (np.concatenate([s for s, _ in parts], axis=2) if parts
-            else np.zeros((len(shear), len(inputs.bounds) - 1, 0)))
+    sums = np.empty((len(shear), len(inputs.bounds) - 1, len(turbines)))
+    if parts:
+        sums[:, :, order] = np.concatenate([s for s, _ in parts], axis=2)
     return CubeSums(grid, turbines, inputs.bounds, sums, sum(c for _, c in parts),
                     0.5 * RHO * np.asarray(areas, dtype=np.float64))
 

@@ -285,6 +285,21 @@ class TestDecomposeTrendsSubcommands:
         assert main(["decompose", *args, "--out", str(dec)]) == 0
         assert json.loads(dec.read_text()) == report["decomposition"]
 
+    @pytest.mark.parametrize("given", ["--pin-avg", "--pin-ref-avg"])
+    def test_decompose_one_additive_input_is_config_error(self, tmp_path, capsys, given):
+        args = []
+        for flag, values in (("--n", [2, 4]), ("--area", [200, 400]),
+                             ("--pin", [1000, 2200]), ("--pout", [100, 230]),
+                             (given, [900, 2000])):
+            path = tmp_path / f"{flag.strip('-')}.csv"
+            self.write_series(path, values)
+            args += [flag, str(path)]
+        out = tmp_path / "dec.json"
+        assert main(["decompose", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config: ") and "--pin-avg" in err and "--pin-ref-avg" in err
+        assert not out.exists()
+
     def test_trends_series(self, tmp_path):
         self.write_series(tmp_path / "s.csv", [1.0, 2.0, 3.0])
         out = tmp_path / "fit.json"
@@ -405,6 +420,42 @@ class TestValidateSubcommand:
         assert sorted(p.name for p in val.iterdir()) == sorted(names)
         for name in names:
             assert (val / name).read_bytes() == (out / name).read_bytes(), name
+
+
+class TestRegistryErrorsPerCommand:
+    """Every command that reads the registry reports its errors alike: a
+    missing file as its input's configuration error, a bad file as the
+    fleet stage's data error."""
+
+    def run(self, command, fixture_dir, tmp_path, *registry):
+        out = tmp_path / "out"
+        registry = ["--turbines", str(fixture_dir / "turbines.csv"), *registry]
+        if command == "report":
+            return run_report(fixture_dir, out, registry), out
+        if command == "validate":
+            return main(["validate", *registry, "--years", "2010:2011",
+                         "--out", str(out)]), out
+        return main(["pin", *registry, "--windgrid", str(fixture_dir / "wind.wgrd"),
+                     "--years", "2010:2011", "--out", str(out)]), out
+
+    @pytest.mark.parametrize("command", ["report", "validate", "pin"])
+    def test_bad_header_is_fleet_data_error(self, command, fixture_dir, tmp_path, capsys):
+        bad = tmp_path / "bad_turbines.csv"
+        bad.write_text("id,lon\nT1,-97.0\n", encoding="utf-8")
+        code, out = self.run(command, fixture_dir, tmp_path, "--turbines", str(bad))
+        assert code == 3
+        assert capsys.readouterr().err.startswith("fleet: turbine CSV missing columns")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report", "validate", "pin"])
+    @pytest.mark.parametrize("name", ["turbines", "extension", "exclusions"])
+    def test_missing_file_is_config_error(self, command, name, fixture_dir, tmp_path,
+                                          capsys):
+        missing = tmp_path / "nowhere.csv"
+        code, out = self.run(command, fixture_dir, tmp_path, f"--{name}", str(missing))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"{name}: file not found: {missing}")
+        assert not out.exists()
 
 
 class TestReportReferencePolicy:

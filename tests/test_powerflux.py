@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import const_grid, fleet_of, grid_from_field, turbine
@@ -334,6 +334,80 @@ class TestPassMatchesOracle:
                 assert fast == 0.0
             else:
                 assert abs(fast - slow) <= 1e-9 * slow, (height, climate, fast, slow)
+
+
+@st.composite
+def permuted_fleets(draw):
+    """An hourly January 2010 grid with calm stamps, a fleet crowded into few
+    cells (on nodes, on edges, single-node axes) and one permutation of it.
+    Fleet sizes include ones that leave one turbine over after chunks of 2,
+    7 or 64."""
+    lons = -100.0 + np.arange(draw(st.integers(1, 4))) * 1.5
+    lats = 35.0 + np.arange(draw(st.integers(1, 3))) * 2.0
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u10, v10, u100, v100 = rng.uniform(-20.0, 20.0, (4, 744, len(lats), len(lons)))
+    calm = rng.integers(0, 744, 6)
+    u10[calm[:3]] = v10[calm[:3]] = 0.0
+    u100[calm[3:]] = v100[calm[3:]] = 0.0
+    grid = grid_from_field(u10, v10, u100, v100, lons=lons, lats=lats)
+
+    def coordinate(ax):
+        return float(rng.choice(ax) if rng.random() < 0.3 else rng.uniform(ax[0], ax[-1]))
+
+    n = draw(st.one_of(st.integers(1, 16), st.sampled_from([22, 64, 65, 129])))
+    recs = [turbine(f"T{i}", lon=coordinate(lons), lat=coordinate(lats), year=2009,
+                    hub=float(rng.uniform(30.0, 200.0))) for i in range(n)]
+    return grid, recs, draw(st.permutations(range(n)))
+
+
+class TestPassPermutation:
+    """A turbine's row of sums does not depend on the fleet's order, on the
+    chunk that holds it or on the worker that runs the chunk."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(permuted_fleets())
+    def test_rows_bit_identical_under_permutation(self, monkeypatch, instance):
+        grid, recs, order = instance
+        span = (0, grid.n_time)
+        base = cube_sums(grid, recs, ["hub", 76.0], span)
+        expected = base.sums[:, :, list(order)]
+        for chunk in (2, 7, 64):
+            monkeypatch.setattr(powerflux, "CHUNK_TURBINES", chunk)
+            for workers in (1, 2):
+                sums = cube_sums(grid, [recs[k] for k in order], ["hub", 76.0], span,
+                                 workers)
+                assert np.array_equal(sums.sums, expected), (chunk, workers)
+                assert sums.calm_hours == base.calm_hours, (chunk, workers)
+
+
+_BLAS_PROBE = ("import os, windfleet; "
+               "print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'))")
+
+
+class TestBlasThreads:
+    """The chunk pool is the only parallelism: one BLAS thread per process
+    unless the environment chooses a thread count."""
+
+    @staticmethod
+    def blas_environment(**chosen):
+        import windfleet
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(chosen, PYTHONPATH=str(Path(windfleet.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_one_thread_by_default(self):
+        assert self.blas_environment() == ["1", "None"]
+
+    def test_openblas_choice_kept(self):
+        assert self.blas_environment(OPENBLAS_NUM_THREADS="3") == ["3", "None"]
+
+    def test_omp_choice_kept(self):
+        assert self.blas_environment(OMP_NUM_THREADS="3") == ["None", "3"]
 
 
 class TestGenerationCsv:
