@@ -11,8 +11,7 @@ from pathlib import Path
 
 from . import pipeline, powerflux, synth, trends, windgrid
 from . import fleet as fleet_mod
-from .errors import (EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, EXIT_OK,
-                     ConfigError, DataError, InvariantError)
+from .errors import EXIT_OK, ConfigError, DataError
 from .pipeline import PipelineError
 from .series import AnnualSeries
 
@@ -30,14 +29,27 @@ def _year_span(raw: str) -> tuple[int, int]:
     return start, end
 
 
-def _pair(raw: str, what: str) -> tuple[float, float]:
-    parts = raw.split(",")
+def _pair(raw: str, what: str, kind=float, sep=",") -> tuple:
+    parts = raw.split(sep)
     if len(parts) != 2:
-        raise ConfigError(f"bad {what} {raw!r}, expected A,B")
+        raise ConfigError(f"bad {what} {raw!r}, expected A{sep}B")
     try:
-        return float(parts[0]), float(parts[1])
+        return kind(parts[0]), kind(parts[1])
     except ValueError:
         raise ConfigError(f"bad {what} {raw!r}") from None
+
+
+def _height(raw: str) -> str | float:
+    """``hub`` or a fixed height in meters."""
+    if raw == "hub":
+        return raw
+    try:
+        height = float(raw)
+    except ValueError:
+        raise ConfigError(f"bad height {raw!r}, expected 'hub' or meters") from None
+    if not 0 < height < float("inf"):
+        raise ConfigError("height must be positive and finite")
+    return height
 
 
 def _wind_model(raw: str) -> synth.WindModel:
@@ -100,17 +112,21 @@ def _write_series_csv(path, series: AnnualSeries) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
-    spec = synth.SynthSpec(
-        n_turbines=args.n_turbines,
-        years=_year_span(args.years),
-        wind=_wind_model(args.wind),
-        n_lat=args.grid[0], n_lon=args.grid[1],
-        bbox=tuple(args.bbox),
-        hub_trend=_pair(args.hub, "hub trend"),
-        rotor_trend=_pair(args.rotor, "rotor trend"),
-        efficiency=_pair(args.efficiency, "efficiency"),
-        specific_power_w_m2=args.specific_power,
-    )
+    n_lat, n_lon = _pair(args.grid, "grid", int, "x")
+    try:
+        spec = synth.SynthSpec(
+            n_turbines=args.n_turbines,
+            years=_year_span(args.years),
+            wind=_wind_model(args.wind),
+            n_lat=n_lat, n_lon=n_lon,
+            bbox=tuple(args.bbox),
+            hub_trend=_pair(args.hub, "hub trend"),
+            rotor_trend=_pair(args.rotor, "rotor trend"),
+            efficiency=_pair(args.efficiency, "efficiency"),
+            specific_power_w_m2=args.specific_power,
+        )
+    except ValueError as exc:  # the spec's own checks of the flag values
+        raise ConfigError(str(exc)) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -148,9 +164,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_convert_grid(args) -> int:
+    t0 = _parse_timestamp(args.start_time)
+    if args.step <= 0:
+        raise ConfigError("step must be positive")
     text = Path(args.csv).read_text(encoding="utf-8")
-    grid = windgrid.grid_from_csv(text, t0=_parse_timestamp(args.start_time),
-                                  step=args.step)
+    grid = windgrid.grid_from_csv(text, t0=t0, step=args.step)
     windgrid.write_windgrid(grid, args.out)
     print(f"wrote {args.out}: {grid.n_time} steps, "
           f"{len(grid.lats)}x{len(grid.lons)} cells")
@@ -158,14 +176,18 @@ def _cmd_convert_grid(args) -> int:
 
 
 def _cmd_pin(args) -> int:
-    fleet = pipeline.load_fleet(args.turbines, args.extension, args.exclusions)
-    grid = windgrid.load_windgrid(args.windgrid)
     start, end = _year_span(args.years)
-    height = "hub" if args.height == "hub" else float(args.height)
+    height = _height(args.height)
     climate = {"actual": "actual", "average": "long_term_average"}[args.climate]
     study = _year_span(args.study_span) if args.study_span else (start, end)
-    series = powerflux.annual_pin_series(grid, fleet, range(start, end + 1),
-                                         height, climate, study, args.workers)
+    if args.workers < 1:
+        raise ConfigError("workers must be >= 1")
+    fleet = pipeline.load_fleet(args.turbines, args.extension, args.exclusions)
+    with pipeline.stage("windgrid"):
+        grid = windgrid.load_windgrid(args.windgrid)
+    with pipeline.stage("powerflux"):
+        series = powerflux.annual_pin_series(grid, fleet, range(start, end + 1),
+                                             height, climate, study, args.workers)
     _write_series_csv(args.out, series)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -229,10 +251,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_report(args) -> int:
     values = pipeline.load_config_file(args.config) if args.config else {}
-    for key in pipeline.CONFIG_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            values[key] = str(value)
+    values.update({key: getattr(args, key) for key in pipeline.CONFIG_KEYS
+                   if getattr(args, key) is not None})
     config = pipeline.config_from_mapping(values)
     bundle = pipeline.run_pipeline(config)
     print(f"wrote {len(bundle.files)} files to {bundle.out_dir}")
@@ -243,12 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="windfleet",
         description="Wind fleet power decomposition pipeline")
-    parser.add_argument("-v", "--verbose", action="store_true")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-v", "--verbose", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[common], **kw))
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic bundle")
     p.add_argument("--out", required=True)
@@ -256,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--years", default="2010:2012")
     p.add_argument("--wind", default="constant:8,8",
                    help="constant:v10,v100 | sinusoidal:mean,amp,period | noise:mean,sd")
-    p.add_argument("--grid", type=lambda s: tuple(int(x) for x in s.split("x")),
-                   default=(3, 3), help="ROWSxCOLS lat/lon nodes")
+    p.add_argument("--grid", default="3x3", help="ROWSxCOLS lat/lon nodes")
     p.add_argument("--bbox", type=float, nargs=4,
                    default=[-100.0, -95.0, 35.0, 40.0],
                    metavar=("LON0", "LON1", "LAT0", "LAT1"))
@@ -320,20 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run the full pipeline")
     p.add_argument("--config")
-    p.add_argument("--turbines")
-    p.add_argument("--extension")
-    p.add_argument("--exclusions")
-    p.add_argument("--windgrid")
-    p.add_argument("--generation")
-    p.add_argument("--reference")
-    p.add_argument("--start-year", type=int)
-    p.add_argument("--end-year", type=int)
-    p.add_argument("--base-year", type=int)
-    p.add_argument("--reference-height", type=float)
-    p.add_argument("--scenarios")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
+    for key in pipeline.CONFIG_KEYS:  # text, parsed as config-file values are
+        p.add_argument("--" + key.replace("_", "-"))
     p.set_defaults(handler=_cmd_report)
+
+    for p in sub.choices.values():
+        p.add_argument("-v", "--verbose", action="store_true")
     return parser
 
 
@@ -342,22 +348,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.handler(args)
+        with pipeline.stage(None):
+            return args.handler(args)
     except PipelineError as exc:
         print(f"{exc.stage}: {exc.message}", file=sys.stderr)
         return exc.exit_code
-    except ConfigError as exc:
-        print(f"config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"config: file not found: {exc.filename}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvariantError as exc:
-        print(f"internal: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (DataError, ValueError, OSError) as exc:
-        print(f"data: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

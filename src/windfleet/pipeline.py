@@ -1,8 +1,9 @@
 """End-to-end run: ingest, compute, decompose, analyse, validate, publish.
 
 ``run_pipeline`` chains one typed stage function per concern, each mapping
-its errors to an exit code through ``_stage``; the subcommands call the same
-stages, table writer and serializers.
+its errors to an exit code through ``stage``; the subcommands call the same
+stages, table writer and serializers.  ``RunConfig``'s fields are the config
+schema of the config file and the ``report`` flags.
 Outputs are staged in a scratch directory and only moved into the output
 directory when the whole run succeeded, so a failed run leaves no partial
 bundle behind.  Reports contain no timestamps or execution parameters:
@@ -17,7 +18,7 @@ import logging
 import os
 import shutil
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from . import decomp, powerflux, svgplot, trends, validate, windgrid
@@ -34,10 +35,6 @@ DEFAULT_REFERENCE_HEIGHT = 76.0
 #: scenario labels run when none are configured
 DEFAULT_SCENARIOS = ("default", "drop-flagged") + tuple(
     f"lifetime-{n}" for n in validate.DEFAULT_LIFETIMES)
-
-CONFIG_KEYS = ("turbines", "extension", "exclusions", "windgrid", "generation",
-               "reference", "start_year", "end_year", "base_year",
-               "reference_height", "scenarios", "out", "workers")
 
 #: config keys that name input files, required then optional
 REQUIRED_INPUTS = ("turbines", "windgrid", "generation")
@@ -59,17 +56,23 @@ class PipelineError(Exception):
 
 
 @contextmanager
-def _stage(name: str):
+def stage(name: str | None):
+    """Run a block as stage ``name``: the one map from an exception to an exit
+    code.  Outside any stage (``name`` None) the prefix is the kind of error:
+    ``config``, ``data`` or ``internal``."""
     try:
         yield
     except PipelineError:
         raise
+    except FileNotFoundError as exc:
+        raise PipelineError(name or "config", f"file not found: {exc.filename}",
+                            EXIT_CONFIG) from exc
     except ConfigError as exc:
-        raise PipelineError(name, str(exc), EXIT_CONFIG) from exc
+        raise PipelineError(name or "config", str(exc), EXIT_CONFIG) from exc
     except InvariantError as exc:
-        raise PipelineError(name, str(exc), EXIT_INTERNAL) from exc
+        raise PipelineError(name or "internal", str(exc), EXIT_INTERNAL) from exc
     except (DataError, ValueError, OSError) as exc:
-        raise PipelineError(name, str(exc), EXIT_DATA) from exc
+        raise PipelineError(name or "data", str(exc), EXIT_DATA) from exc
 
 
 def _require_file(name: str, path) -> None:
@@ -107,8 +110,8 @@ class RunConfig:
             raise ConfigError(f"base_year {self.base_year} outside study period")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.reference_height <= 0:
-            raise ConfigError("reference_height must be positive")
+        if not 0 < self.reference_height < float("inf"):
+            raise ConfigError("reference_height must be positive and finite")
         for name in REQUIRED_INPUTS + OPTIONAL_INPUTS:
             path = getattr(self, name)
             if not path and name in REQUIRED_INPUTS:
@@ -120,6 +123,29 @@ class RunConfig:
     @property
     def years(self) -> range:
         return range(self.start_year, self.end_year + 1)
+
+
+#: the config-file keys and ``report`` flags: ``RunConfig``'s fields
+CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+REQUIRED_KEYS = tuple(f.name for f in fields(RunConfig)
+                      if f.default is MISSING and f.default_factory is MISSING)
+
+
+def _converted(kind, what: str):
+    def parse(key: str, raw: str):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"{key} must be {what}") from None
+    return parse
+
+
+#: parser of a setting's text, by its field's annotation
+_PARSE = {"str": lambda key, raw: raw, "int": _converted(int, "an integer"),
+          "float": _converted(float, "numeric"),
+          "list[str]": lambda key, raw: [s.strip() for s in raw.split(",") if s.strip()]}
+#: config key -> parser; a field of a type not in ``_PARSE`` fails at import
+_PARSERS = {f.name: _PARSE[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -147,38 +173,13 @@ def load_config_file(path) -> dict[str, str]:
 
 
 def config_from_mapping(values: dict[str, str]) -> RunConfig:
-    def intval(key):
-        try:
-            return int(values[key])
-        except (KeyError, ValueError):
-            raise ConfigError(f"{key} must be an integer") from None
-
-    for key in ("turbines", "windgrid", "generation", "start_year", "end_year", "out"):
-        if key not in values or values[key] == "":
+    """A ``RunConfig`` from ``CONFIG_KEYS`` settings as text; a blank value
+    keeps the field's default."""
+    given = {key: raw for key, raw in values.items() if raw != ""}
+    for key in REQUIRED_KEYS:
+        if key not in given:
             raise ConfigError(f"missing required config key {key!r}")
-    cfg = RunConfig(
-        turbines=values["turbines"],
-        windgrid=values["windgrid"],
-        generation=values["generation"],
-        start_year=intval("start_year"),
-        end_year=intval("end_year"),
-        out=values["out"],
-        extension=values.get("extension") or None,
-        exclusions=values.get("exclusions") or None,
-        reference=values.get("reference") or None,
-    )
-    if values.get("base_year"):
-        cfg.base_year = intval("base_year")
-    if values.get("reference_height"):
-        try:
-            cfg.reference_height = float(values["reference_height"])
-        except ValueError:
-            raise ConfigError("reference_height must be numeric") from None
-    if values.get("workers"):
-        cfg.workers = intval("workers")
-    if values.get("scenarios"):
-        cfg.scenarios = [s.strip() for s in values["scenarios"].split(",") if s.strip()]
-    return cfg
+    return RunConfig(**{key: _PARSERS[key](key, raw) for key, raw in given.items()})
 
 
 def parse_scenario(label: str) -> fleet_mod.ScenarioSpec:
@@ -254,7 +255,7 @@ class ReportBundle:
 
 
 # ---------------------------------------------------------------------------
-# stages: each maps its errors to an exit code through ``_stage``
+# stages: each maps its errors to an exit code through ``stage``
 # ---------------------------------------------------------------------------
 
 def load_reference(path, years: range) -> AnnualSeries | None:
@@ -263,9 +264,8 @@ def load_reference(path, years: range) -> AnnualSeries | None:
     covers none of the study years is a data error."""
     if not path:
         return None
-    with _stage("reference"):
-        if not Path(path).is_file():
-            raise ConfigError(f"file not found: {path}")
+    _require_file("reference", path)
+    with stage("reference"):
         ref = validate.parse_reference_csv(Path(path).read_bytes()).capacity_mw
         if ref is None:
             return None
@@ -282,7 +282,7 @@ def load_fleet(turbines, extension=None, exclusions=None) -> fleet_mod.Fleet:
     for name, path in (("turbines", turbines), ("extension", extension),
                        ("exclusions", exclusions)):
         _require_file(name, path)
-    with _stage("fleet"):
+    with stage("fleet"):
         records = fleet_mod.parse_turbine_csv(Path(turbines).read_bytes())
         if extension:
             ext = fleet_mod.parse_turbine_csv(Path(extension).read_bytes())
@@ -305,7 +305,7 @@ class FleetSeries:
 
 
 def fleet_stage(config: RunConfig) -> FleetSeries:
-    with _stage("fleet"):
+    with stage("fleet"):
         fleet = load_fleet(config.turbines, config.extension, config.exclusions)
         log.info("fleet: %d turbines (%s dropped)", len(fleet.turbines), fleet.provenance)
         return FleetSeries(fleet, fleet_mod.annual_counts(fleet, config.years),
@@ -335,12 +335,12 @@ class PowerSeries:
 def power_stage(config: RunConfig, fleet: FleetSeries) -> PowerSeries:
     """P_in from one kernel pass over the grid, P_out from the generation file."""
     years = config.years
-    with _stage("windgrid"):
+    with stage("windgrid"):
         grid = windgrid.load_windgrid(config.windgrid)
         log.info("windgrid: %d steps, %dx%d cells", grid.n_time,
                  len(grid.lats), len(grid.lons))
 
-    with _stage("powerflux"):
+    with stage("powerflux"):
         pins = powerflux.report_pin(grid, fleet.fleet, years, config.reference_height,
                                     config.workers)
         energy = powerflux.parse_generation_csv(Path(config.generation).read_bytes())
@@ -379,7 +379,7 @@ def decomposition_stage(n: AnnualSeries, area: AnnualSeries, p_in: AnnualSeries,
                         ) -> decomp.DecompositionResult:
     """The four factors, indexed to ``base_year``, and, given both long-term
     average input powers, the additive input-density effects."""
-    with _stage("decomp"):
+    with stage("decomp"):
         result = decomp.multiplicative_decomposition(n, area, p_in, p_out)
         decomp.indexed_factors(result, base_year)
         if p_in_avg is not None and p_in_ref_avg is not None:
@@ -405,7 +405,7 @@ class TrendResult:
 
 
 def trends_stage(power: PowerSeries) -> TrendResult:
-    with _stage("trends"):
+    with stage("trends"):
         years = list(power.efficiency.years)
         fits = {
             "output_power_density": trends.ols_fit(years, power.output_density.values),
@@ -438,7 +438,7 @@ class Validation:
 def validation_stage(fleet: fleet_mod.Fleet, years: range, scenarios: list[str],
                      reference: AnnualSeries | None) -> Validation:
     """``reference`` is ``load_reference``'s slice of the study years."""
-    with _stage("validate"):
+    with stage("validate"):
         capacity = {label: validate.scenario_capacity(fleet, years, parse_scenario(label))
                     for label in scenarios}
         missing = validate.missingness_report(fleet.turbines)
@@ -525,7 +525,7 @@ def write_stage(config: RunConfig, fleet: FleetSeries, power: PowerSeries,
         "counterfactual_efficiency": trend.counterfactual,
     }
     report = _report(config, fleet, series, result, trend, checks, power.pin.calm_hours)
-    with _stage("report"):
+    with stage("report"):
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         staging = out_dir / ".staging"

@@ -426,12 +426,6 @@ class MonthlySeries:
     start: tuple[int, int]
     values: list[float]
 
-    def months(self):
-        y, m = self.start
-        for v in self.values:
-            yield (y, m), v
-            y, m = _next_month(y, m)
-
     def value(self, year: int, month: int) -> float:
         y0, m0 = self.start
         k = (year - y0) * 12 + (month - m0)

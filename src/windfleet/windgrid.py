@@ -119,7 +119,7 @@ def _check_finite(name: str, values: np.ndarray) -> None:
 
 
 def _write_grid(grid: WindGrid, fh) -> None:
-    grid.validate()
+    """Write a grid that passed ``validate``."""
     fh.write(_HEADER.pack(MAGIC, VERSION, grid.n_time, len(grid.lats),
                           len(grid.lons), grid.t0, grid.step))
     fh.write(np.ascontiguousarray(grid.lats, dtype="<f8"))
@@ -129,13 +129,16 @@ def _write_grid(grid: WindGrid, fh) -> None:
 
 
 def grid_to_bytes(grid: WindGrid) -> bytes:
+    grid.validate()
     out = io.BytesIO()
     _write_grid(grid, out)
     return out.getvalue()
 
 
 def write_windgrid(grid: WindGrid, path) -> None:
-    """Write ``grid`` as a WGRD file, one variable at a time."""
+    """Write ``grid`` as a WGRD file, one variable at a time; an invalid grid
+    fails before the file is opened."""
+    grid.validate()
     with open(path, "wb") as fh:
         _write_grid(grid, fh)
 

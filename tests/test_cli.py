@@ -1,16 +1,21 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from windfleet import fleet, powerflux, validate
+import windfleet
+from windfleet import fleet, pipeline, powerflux, validate
 from windfleet.windgrid import VARIABLES, WindGrid, grid_to_bytes, load_windgrid
-from windfleet.cli import main
-from windfleet.pipeline import load_config_file, parse_scenario
-from windfleet.errors import ConfigError
+from windfleet.cli import build_parser, main
+from windfleet.pipeline import (CONFIG_KEYS, PipelineError, load_config_file,
+                                parse_scenario, stage)
+from windfleet.errors import ConfigError, DataError, InvariantError
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +35,19 @@ def run_report(fixture_dir, out, extra=()):
                  "--out", str(out), *extra])
 
 
+@pytest.fixture
+def registry_reads(monkeypatch):
+    reads = []
+    parse = fleet.parse_turbine_csv
+
+    def counting(data):
+        reads.append(len(data))
+        return parse(data)
+
+    monkeypatch.setattr(fleet, "parse_turbine_csv", counting)
+    return reads
+
+
 class TestSynthCommand:
     def test_bundle_files(self, fixture_dir):
         for name in ("turbines.csv", "wind.wgrd", "generation.csv",
@@ -43,12 +61,12 @@ class TestSynthCommand:
 
 
 class TestConvertGrid:
-    def make_csv(self, path, drop_last=False):
+    def make_csv(self, path, drop_last=False, u10="3"):
         rows = ["time_index,lat,lon,u10,v10,u100,v100"]
         for t in range(2):
             for lat in (36.0, 37.0):
                 for lon in (-99.0, -98.0):
-                    rows.append(f"{t},{lat},{lon},3,4,6,8")
+                    rows.append(f"{t},{lat},{lon},{u10},4,6,8")
         if drop_last:
             rows.pop()
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -71,6 +89,14 @@ class TestConvertGrid:
                      "--out", str(tmp_path / "x.wgrd")])
         assert code == 3
         assert "ragged grid" in capsys.readouterr().err
+
+    def test_invalid_grid_leaves_no_file(self, tmp_path, capsys):
+        csv_path = tmp_path / "grid.csv"
+        self.make_csv(csv_path, u10="nan")
+        out = tmp_path / "x.wgrd"
+        assert main(["convert-grid", "--csv", str(csv_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("data: variable u10 contains non-finite")
+        assert not out.exists()
 
 
 class TestPinCommand:
@@ -346,18 +372,6 @@ class TestValidateSubcommand:
         return ["validate", "--turbines", str(fixture_dir / "turbines.csv"),
                 "--years", "2010:2011", "--out", str(out), *extra]
 
-    @pytest.fixture
-    def registry_reads(self, monkeypatch):
-        reads = []
-        parse = fleet.parse_turbine_csv
-
-        def counting(data):
-            reads.append(len(data))
-            return parse(data)
-
-        monkeypatch.setattr(fleet, "parse_turbine_csv", counting)
-        return reads
-
     def test_bad_scenario_fails_before_registry(self, fixture_dir, tmp_path,
                                                 registry_reads):
         out = tmp_path / "val"
@@ -511,3 +525,179 @@ class TestScenarioParsing:
             parse_scenario("lifetime-zero")
         with pytest.raises(ConfigError):
             parse_scenario("frob")
+
+
+class TestBadFlagValues:
+    """A bad flag value is a configuration error, found before any input is
+    read and before any output is written."""
+
+    @pytest.fixture
+    def grid_csv(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        TestConvertGrid().make_csv(path)
+        return path
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("synth", ["--n-turbines", "0"], "counts must be positive"),
+        ("synth", ["--grid", "0x3"], "counts must be positive"),
+        ("synth", ["--grid", "3"], "bad grid '3'"),
+        ("pin", ["--height", "-5"], "height must be positive"),
+        ("pin", ["--height", "abc"], "bad height 'abc'"),
+        ("pin", ["--height", "inf"], "height must be positive and finite"),
+        ("report", ["--reference-height", "nan"],
+         "reference_height must be positive and finite"),
+        ("pin", ["--workers", "0"], "workers must be >= 1"),
+        ("report", ["--workers", "0"], "workers must be >= 1"),
+        ("convert-grid", ["--step", "0"], "step must be positive"),
+        ("convert-grid", ["--step", "-3600"], "step must be positive"),
+    ])
+    def test_config_error(self, command, extra, message, fixture_dir, grid_csv, tmp_path,
+                          registry_reads, capsys):
+        out = tmp_path / "out"
+        args = {
+            "synth": ["--out", str(out)],
+            "pin": ["--turbines", str(fixture_dir / "turbines.csv"),
+                    "--windgrid", str(fixture_dir / "wind.wgrd"),
+                    "--years", "2010:2011", "--out", str(out)],
+            "report": ["--config", str(fixture_dir / "run.conf"), "--out", str(out)],
+            "convert-grid": ["--csv", str(grid_csv), "--out", str(out)],
+        }[command]
+        assert main([command, *args, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config: ") and message in err
+        assert registry_reads == []
+        assert not out.exists()
+
+
+class TestVerbose:
+    def test_flag_follows_the_subcommand(self):
+        parser = build_parser()
+        assert parser.parse_args(["trends", "-v", "--out", "x"]).verbose
+        assert not parser.parse_args(["trends", "--out", "x"]).verbose
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args(["-v", "trends", "--out", "x"])
+        assert exit_.value.code == 2
+
+    def test_turns_on_info_logging(self, fixture_dir, tmp_path):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(windfleet.__file__).resolve().parents[1]))
+        command = [sys.executable, "-m", "windfleet.cli", "report",
+                   "--config", str(fixture_dir / "run.conf")]
+        quiet = subprocess.run([*command, "--out", str(tmp_path / "q")], env=env,
+                               capture_output=True, text=True, timeout=120)
+        loud = subprocess.run([*command, "--out", str(tmp_path / "v"), "-v"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert quiet.returncode == loud.returncode == 0, quiet.stderr + loud.stderr
+        assert "INFO" not in quiet.stderr
+        assert "INFO windfleet.pipeline: fleet: 10 turbines" in loud.stderr
+
+
+class TestConfigBoundary:
+    """``RunConfig``'s fields are the one schema of the config file and the
+    ``report`` flags."""
+
+    #: two valid settings for every config key
+    SETTINGS = {
+        "turbines": ("/data/a/turbines.csv", "/data/b/turbines.csv"),
+        "windgrid": ("/data/a/wind.wgrd", "/data/b/wind.wgrd"),
+        "generation": ("/data/a/generation.csv", "/data/b/generation.csv"),
+        "start_year": ("2010", "2011"),
+        "end_year": ("2014", "2015"),
+        "out": ("/data/a/out", "/data/b/out"),
+        "extension": ("/data/a/extension.csv", "/data/b/extension.csv"),
+        "exclusions": ("/data/a/exclusions.txt", "/data/b/exclusions.txt"),
+        "reference": ("/data/a/reference.csv", "/data/b/reference.csv"),
+        "base_year": ("2012", "2013"),
+        "reference_height": ("80.5", "100"),
+        "scenarios": ("default,lifetime-20", "drop-flagged"),
+        "workers": ("2", "3"),
+    }
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        """The ``RunConfig`` every ``report`` run was given; nothing runs."""
+        seen = []
+
+        def record(config):
+            seen.append(config)
+            return pipeline.ReportBundle(report={}, out_dir=Path(config.out), files=[])
+
+        monkeypatch.setattr(pipeline, "run_pipeline", record)
+        return seen
+
+    def report(self, tmp_path, configs, settings, flags=()):
+        conf = tmp_path / "run.conf"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()),
+                        encoding="utf-8")
+        assert main(["report", "--config", str(conf), *flags]) == 0
+        return configs[-1]
+
+    def test_settings_cover_every_key(self):
+        assert set(self.SETTINGS) == set(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_flag_equals_config_file_and_wins(self, key, tmp_path, configs):
+        base = {k: v[1] for k, v in self.SETTINGS.items() if k in pipeline.REQUIRED_KEYS}
+        first, second = self.SETTINGS[key]
+        flag = ["--" + key.replace("_", "-"), first]
+        from_file = self.report(tmp_path, configs, {**base, key: first})
+        from_flag = self.report(tmp_path, configs, base, flag)
+        from_both = self.report(tmp_path, configs, {**base, key: second}, flag)
+        assert from_file == from_flag == from_both
+        assert from_file != self.report(tmp_path, configs, {**base, key: second})
+
+    def test_bad_integer_same_from_flag_and_file(self, fixture_dir, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text((fixture_dir / "run.conf").read_text() + "start_year = abc\n")
+        from_file = main(["report", "--config", str(conf)]), capsys.readouterr().err
+        from_flag = run_report(fixture_dir, tmp_path / "o", ["--start-year", "abc"]), \
+            capsys.readouterr().err
+        assert from_file == from_flag == (2, "config: start_year must be an integer\n")
+
+    def test_help_lists_every_key(self, capsys):
+        for command in ("synth", "convert-grid", "pin", "decompose", "trends",
+                        "validate", "report"):
+            with pytest.raises(SystemExit) as exit_:
+                main([command, "--help"])
+            assert exit_.value.code == 0, command
+        usage = capsys.readouterr().out
+        for key in CONFIG_KEYS:
+            assert "--" + key.replace("_", "-") in usage, key
+
+
+class TestExitPolicy:
+    """``stage`` is the one map from an exception to an exit code and prefix."""
+
+    @pytest.mark.parametrize("error, code, kind, message", [
+        (ConfigError("bad value"), 2, "config", "bad value"),
+        (FileNotFoundError(2, "No such file or directory", "x.csv"), 2, "config",
+         "file not found: x.csv"),
+        (DataError("bad row"), 3, "data", "bad row"),
+        (ValueError("bad number"), 3, "data", "bad number"),
+        (OSError("disk full"), 3, "data", "disk full"),
+        (InvariantError("broken"), 4, "internal", "broken"),
+    ])
+    @pytest.mark.parametrize("name", ["fleet", None])
+    def test_stage(self, name, error, code, kind, message):
+        with pytest.raises(PipelineError) as failure:
+            with stage(name):
+                raise error
+        assert failure.value.exit_code == code
+        assert failure.value.stage == (name or kind)
+        assert failure.value.message == message
+
+    @pytest.mark.parametrize("grid, code", [("missing", 2), ("truncated", 3)])
+    def test_pin_reports_grid_errors_as_report_does(self, grid, code, fixture_dir,
+                                                    tmp_path, capsys):
+        path = tmp_path / "wind.wgrd"
+        if grid == "truncated":
+            path.write_bytes((fixture_dir / "wind.wgrd").read_bytes()[:-8])
+        flags = ["--windgrid", str(path)]
+        results = []
+        for argv in (["pin", "--turbines", str(fixture_dir / "turbines.csv"),
+                      "--years", "2010:2011", "--out", str(tmp_path / "pin.csv"), *flags],
+                     ["report", "--config", str(fixture_dir / "run.conf"),
+                      "--out", str(tmp_path / "out"), *flags]):
+            results.append((main(argv), capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == code and results[0][1].startswith("windgrid: ")

@@ -112,6 +112,15 @@ class TestWgrdFormat:
         with pytest.raises(DataError, match="non-finite"):
             grid_to_bytes(grid)
 
+    @pytest.mark.parametrize("step", [0, -3600])
+    def test_invalid_grid_writes_no_file(self, tmp_path, step):
+        grid = small_grid()
+        grid.step = step
+        path = tmp_path / "g.wgrd"
+        with pytest.raises(DataError, match="step must be positive"):
+            write_windgrid(grid, path)
+        assert not path.exists()
+
 
 class TestBilinear:
     def test_exact_at_nodes(self):
