@@ -13,8 +13,8 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.envi
 from .decomp import (additive_pin_decomposition, index_relative,
                      multiplicative_decomposition)
 from .errors import ConfigError, DataError, InvariantError
-from .fleet import (Fleet, ScenarioSpec, TurbineRecord, annual_capacity,
-                    annual_counts, annual_swept_area, impute_missing,
+from .fleet import (Fleet, ScenarioSpec, TurbineColumns, TurbineRecord,
+                    annual_capacity, annual_counts, annual_swept_area, impute_missing,
                     imputation_bounds, merge_extension, parse_turbine_csv,
                     preprocess, rotor_swept_area, specific_power)
 from .powerflux import (BETZ_LIMIT, RHO, BetzLimitWarning, aggregate_pin,

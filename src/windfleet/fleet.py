@@ -5,15 +5,23 @@ t_cap,is_decommissioned,d_year``); empty fields mean "missing".  Records with
 no commissioning year are dropped during preprocessing, the remaining missing
 meta parameters (hub height, rotor diameter, capacity) are filled by
 per-commissioning-year mean imputation.
+
+In memory the registry is one ``TurbineColumns`` table: every field is an
+array in registry order, and parsing, merging, imputation and every annual
+reduction are array operations on it.  ``TurbineRecord`` is the one-turbine
+view that the table builds on demand.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -28,8 +36,16 @@ REQUIRED_COLUMNS = (
 )
 IMPUTABLE_FIELDS = ("hub_height", "rotor_diameter", "capacity")
 
-_TRUE = {"true", "t", "1", "yes"}
-_FALSE = {"false", "f", "0", "no"}
+#: ``is_decommissioned`` values after strip and lower-case; others are errors
+_BOOLEANS = {"": False, "false": False, "f": False, "0": False, "no": False,
+             "true": True, "t": True, "1": True, "yes": True}
+
+#: data rows the parser reads and checks at a time
+PARSE_BLOCK_ROWS = 1024
+
+#: commissioning or decommissioning year standing in for a missing one:
+#: later than any year
+_NEVER = np.iinfo(np.int64).max // 2
 
 
 @dataclass
@@ -52,14 +68,113 @@ class TurbineRecord:
     imputed_fields: set[str] = field(default_factory=set)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class TurbineColumns(Sequence):
+    """The registry as one table: each ``TurbineRecord`` field is an array
+    with one entry per turbine, in registry order.
+
+    Missing numbers are NaN and missing years ``_NEVER``; ``imputed`` has
+    one boolean column per ``IMPUTABLE_FIELDS`` entry.  The table is a
+    read-only sequence of records: ``len``, an integer index and iteration
+    build ``TurbineRecord``s on demand, and a slice is a table.
+    """
+
+    id: np.ndarray  # object: str
+    lon: np.ndarray
+    lat: np.ndarray
+    commissioning_year: np.ndarray  # int64
+    hub_height: np.ndarray
+    rotor_diameter: np.ndarray
+    capacity: np.ndarray
+    decommissioned_flag: np.ndarray  # bool
+    decommissioning_year: np.ndarray  # int64
+    imputed: np.ndarray  # bool, [turbine, imputable field]
+
+    def __post_init__(self):
+        for column in self._columns():
+            column.flags.writeable = False
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    @classmethod
+    def of(cls, turbines: Iterable[TurbineRecord]) -> "TurbineColumns":
+        """``turbines`` as a table; a table is returned as it is."""
+        if isinstance(turbines, TurbineColumns):
+            return turbines
+        recs = list(turbines)
+        n = len(recs)
+
+        def numbers(name: str, dtype, missing) -> np.ndarray:
+            return np.fromiter((missing if (v := getattr(r, name)) is None else v
+                                for r in recs), dtype, n)
+
+        return cls(
+            np.array([r.id for r in recs], dtype=object),
+            np.fromiter((r.lon for r in recs), np.float64, n),
+            np.fromiter((r.lat for r in recs), np.float64, n),
+            numbers("commissioning_year", np.int64, _NEVER),
+            numbers("hub_height", np.float64, math.nan),
+            numbers("rotor_diameter", np.float64, math.nan),
+            numbers("capacity", np.float64, math.nan),
+            np.fromiter((r.decommissioned_flag for r in recs), bool, n),
+            numbers("decommissioning_year", np.int64, _NEVER),
+            np.array([[f in r.imputed_fields for f in IMPUTABLE_FIELDS] for r in recs],
+                     dtype=bool).reshape(n, len(IMPUTABLE_FIELDS)))
+
+    @classmethod
+    def concat(cls, tables: list["TurbineColumns"]) -> "TurbineColumns":
+        return cls(*(np.concatenate(columns)
+                     for columns in zip(*(t._columns() for t in tables))))
+
+    def take(self, index) -> "TurbineColumns":
+        """The turbines at ``index`` (a slice, indices or a boolean mask)."""
+        return TurbineColumns(*(column[index] for column in self._columns()))
+
+    def imputed_mask(self, name: str) -> np.ndarray:
+        return self.imputed[:, IMPUTABLE_FIELDS.index(name)]
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.take(key)
+        i = range(len(self))[key]
+        return next(self._records(slice(i, i + 1)))
+
+    def __iter__(self) -> Iterator[TurbineRecord]:
+        return self._records(slice(None))
+
+    def _records(self, index: slice) -> Iterator[TurbineRecord]:
+        rows = zip(*(column[index].tolist() for column in self._columns()))
+        for tid, lon, lat, cy, hub, rotor, cap, flag, dy, imputed in rows:
+            yield TurbineRecord(
+                id=tid, lon=lon, lat=lat,
+                commissioning_year=None if cy == _NEVER else cy,
+                hub_height=None if math.isnan(hub) else hub,
+                rotor_diameter=None if math.isnan(rotor) else rotor,
+                capacity=None if math.isnan(cap) else cap,
+                decommissioned_flag=flag,
+                decommissioning_year=None if dy == _NEVER else dy,
+                imputed_fields={f for f, marked in zip(IMPUTABLE_FIELDS, imputed) if marked})
+
+    def __repr__(self) -> str:
+        return f"TurbineColumns({len(self)} turbines)"
+
+
 @dataclass
 class Fleet:
     """Preprocessed registry: every turbine has a commissioning year and
-    (possibly imputed) hub height, rotor diameter and capacity."""
+    (possibly imputed) hub height, rotor diameter and capacity.  Records
+    given as ``turbines`` are converted to a table once, here."""
 
-    turbines: list[TurbineRecord]
+    turbines: TurbineColumns
     provenance: dict[str, int]
     imputation: "ImputationReport"
+
+    def __post_init__(self):
+        self.turbines = TurbineColumns.of(self.turbines)
 
 
 @dataclass
@@ -91,97 +206,144 @@ class ScenarioSpec:
             raise ValueError("lifetime_years must be positive")
 
 
-def _parse_float(raw: str, column: str, row_no: int) -> float | None:
-    raw = raw.strip()
-    if raw == "":
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise DataError(f"non-numeric {column} {raw!r}, row {row_no}") from None
-    if not math.isfinite(value):
-        raise DataError(f"non-finite {column}, row {row_no}")
-    return value
-
-
-def _parse_year(raw: str, column: str, row_no: int) -> int | None:
-    value = _parse_float(raw, column, row_no)
-    if value is None:
-        return None
-    if value != int(value):
-        raise DataError(f"non-integer {column} {raw!r}, row {row_no}")
-    return int(value)
-
-
-def _parse_bool(raw: str, column: str, row_no: int) -> bool:
-    raw = raw.strip().lower()
-    if raw == "" or raw in _FALSE:
-        return False
-    if raw in _TRUE:
-        return True
-    raise DataError(f"bad boolean {column} {raw!r}, row {row_no}")
-
-
-def parse_turbine_csv(data: bytes) -> list[TurbineRecord]:
-    """Parse a turbine registry CSV.
+def parse_turbine_csv(data: bytes) -> TurbineColumns:
+    """Parse a turbine registry CSV into a table.
 
     Row numbers in error messages are 1-based over data rows (the header is
-    row 0).  Unknown extra columns are ignored; the required columns may
-    appear in any order.
+    row 0; blank lines count).  Unknown extra columns are ignored; the
+    required columns may appear in any order.  The text is decoded and read
+    ``PARSE_BLOCK_ROWS`` rows at a time, and each block is checked as arrays;
+    the first failing row raises.
     """
-    reader = csv.reader(io.StringIO(data.decode("utf-8")))
-    header = next(reader, None)
-    if header is None:
-        raise DataError("empty turbine CSV")
-    header = [h.strip() for h in header]
-    missing = [c for c in REQUIRED_COLUMNS if c not in header]
-    if missing:
-        raise DataError(f"turbine CSV missing columns: {', '.join(missing)}")
-    col = {name: header.index(name) for name in REQUIRED_COLUMNS}
+    try:
+        # lines end at "\n" only, so a lone "\r" stays inside its field
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n") as text:
+            reader = csv.reader(text)
+            header = next(reader, None)
+            if header is None:
+                raise DataError("empty turbine CSV")
+            header = [h.strip() for h in header]
+            missing = [c for c in REQUIRED_COLUMNS if c not in header]
+            if missing:
+                raise DataError(f"turbine CSV missing columns: {', '.join(missing)}")
+            col = {name: header.index(name) for name in REQUIRED_COLUMNS}
+            tables, row_no = [], 1
+            while True:
+                block: list[list[str]] = []
+                try:
+                    block.extend(itertools.islice(reader, PARSE_BLOCK_ROWS))
+                except csv.Error:
+                    # extend keeps the rows read before the bad one, which
+                    # are checked first
+                    _parse_block(block, row_no, len(header), col)
+                    raise
+                if not block:
+                    break
+                table = _parse_block(block, row_no, len(header), col)
+                if table is not None:
+                    tables.append(table)
+                row_no += len(block)
+    except (DataError, UnicodeDecodeError):
+        data.decode("utf-8")  # text that does not decode fails first, at its byte offset
+        raise
+    return TurbineColumns.concat(tables) if tables else TurbineColumns.of([])
 
-    records = []
-    for row_no, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(
-                f"expected {len(header)} columns, got {len(row)}, row {row_no}"
-            )
-        turbine_id = row[col["case_id"]].strip()
-        if not turbine_id:
-            raise DataError(f"empty case_id, row {row_no}")
-        lon = _parse_float(row[col["xlong"]], "xlong", row_no)
-        lat = _parse_float(row[col["ylat"]], "ylat", row_no)
-        if lon is None or lat is None:
-            raise DataError(f"missing coordinates, row {row_no}")
-        if not -180.0 <= lon <= 180.0:
-            raise DataError(f"lon out of range, row {row_no}")
-        if not -90.0 <= lat <= 90.0:
-            raise DataError(f"lat out of range, row {row_no}")
 
-        hub = _parse_float(row[col["t_hh"]], "t_hh", row_no)
-        rotor = _parse_float(row[col["t_rd"]], "t_rd", row_no)
-        cap = _parse_float(row[col["t_cap"]], "t_cap", row_no)
-        p_year = _parse_year(row[col["p_year"]], "p_year", row_no)
-        d_year = _parse_year(row[col["d_year"]], "d_year", row_no)
-        for name, value in (("t_hh", hub), ("t_rd", rotor), ("t_cap", cap),
-                            ("p_year", p_year), ("d_year", d_year)):
-            if value is not None and value <= 0:
-                raise DataError(f"non-positive {name}, row {row_no}")
+def _parse_block(rows: list[list[str]], row_no: int, n_columns: int,
+                 col: dict[str, int]) -> TurbineColumns | None:
+    """The table of ``rows``, the first of which is row ``row_no``; None when
+    every row is blank."""
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    wrong = np.flatnonzero((lengths != n_columns) & (lengths != 0))
+    end = wrong[0] if len(wrong) else len(rows)
+    at = np.flatnonzero(lengths[:end])
+    table = _parse_rows([rows[i] for i in at], row_no + at, col) if len(at) else None
+    if len(wrong):
+        raise DataError(f"expected {n_columns} columns, got {lengths[end]}, row {row_no + end}")
+    return table
 
-        records.append(TurbineRecord(
-            id=turbine_id,
-            lon=lon,
-            lat=lat,
-            commissioning_year=p_year,
-            hub_height=hub,
-            rotor_diameter=rotor,
-            capacity=cap,
-            decommissioned_flag=_parse_bool(row[col["is_decommissioned"]],
-                                            "is_decommissioned", row_no),
-            decommissioning_year=d_year,
-        ))
-    return records
+
+def _floats(raw: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``float()`` of every field, NaN where it is blank or not a number;
+    the masks of blank fields and of fields ``float()`` rejects."""
+    n = len(raw)
+    blank = np.fromiter(map(operator.not_, raw), bool, n)
+    try:
+        values = np.fromiter(map(float, [v or "nan" for v in raw]), np.float64, n)
+        return values, blank, np.zeros(n, bool)
+    except ValueError:  # blanks of white space, or non-numbers: field by field
+        values, rejected = np.full(n, math.nan), np.zeros(n, bool)
+        for i, v in enumerate(raw):
+            v = v.strip()
+            if not v:
+                blank[i] = True
+                continue
+            try:
+                values[i] = float(v)
+            except ValueError:
+                rejected[i] = True
+        return values, blank, rejected
+
+
+def _parse_rows(rows: list[list[str]], row_nos: np.ndarray,
+                col: dict[str, int]) -> TurbineColumns:
+    """The table of nonblank rows of the right length, or the first failing
+    row's error: each row's checks run in a fixed order, as masks."""
+    columns = list(zip(*rows))
+    raw = {name: columns[i] for name, i in col.items()}
+    checks: list[tuple[np.ndarray, Callable[[int], str]]] = []
+
+    ids = list(map(str.strip, raw["case_id"]))
+    checks.append((np.fromiter(map(operator.not_, ids), bool, len(ids)),
+                   lambda i: "empty case_id"))
+
+    def number(column: str):
+        values, blank, rejected = _floats(raw[column])
+        checks.append((rejected, lambda i: f"non-numeric {column} {raw[column][i].strip()!r}"))
+        checks.append((~(blank | np.isfinite(values)), lambda i: f"non-finite {column}"))
+        return values, blank
+
+    (lon, lon_blank), (lat, lat_blank) = number("xlong"), number("ylat")
+    checks.append((lon_blank | lat_blank, lambda i: "missing coordinates"))
+    checks.append((~((lon >= -180.0) & (lon <= 180.0)), lambda i: "lon out of range"))
+    checks.append((~((lat >= -90.0) & (lat <= 90.0)), lambda i: "lat out of range"))
+
+    values = {}
+    for column in ("t_hh", "t_rd", "t_cap", "p_year", "d_year"):
+        values[column] = number(column)[0]
+        if column.endswith("_year"):
+            v = values[column]
+            checks.append((np.isfinite(v) & (v != np.trunc(v)),
+                           lambda i, c=column: f"non-integer {c} {raw[c][i]!r}"))
+    for column, v in values.items():
+        checks.append((v <= 0, lambda i, c=column: f"non-positive {c}"))
+
+    flags = list(map(_BOOLEANS.get, map(str.lower, map(str.strip, raw["is_decommissioned"]))))
+    checks.append((np.fromiter(map(operator.is_, flags, itertools.repeat(None)), bool,
+                               len(flags)),
+                   lambda i: "bad boolean is_decommissioned "
+                             f"{raw['is_decommissioned'][i].strip().lower()!r}"))
+    for column in ("p_year", "d_year"):  # a year must fit the int64 year columns
+        checks.append((values[column] >= _NEVER, lambda i, c=column: f"{c} out of range"))
+
+    # the error is the first failing row's earliest failing check: a check
+    # that fails on that row has it as its own first failing row
+    first = [(hits[0], k) for k, (mask, _) in enumerate(checks)
+             if len(hits := np.flatnonzero(mask))]
+    if first:
+        i, k = min(first)
+        raise DataError(f"{checks[k][1](i)}, row {row_nos[i]}")
+
+    def years(v: np.ndarray) -> np.ndarray:
+        out = np.full(len(v), _NEVER)
+        known = ~np.isnan(v)
+        out[known] = v[known]
+        return out
+
+    return TurbineColumns(
+        np.array(ids, dtype=object), lon, lat, years(values["p_year"]),
+        values["t_hh"], values["t_rd"], values["t_cap"], np.array(flags, dtype=bool),
+        years(values["d_year"]), np.zeros((len(ids), len(IMPUTABLE_FIELDS)), bool))
 
 
 def parse_exclusion_ids(text: str) -> set[str]:
@@ -189,121 +351,118 @@ def parse_exclusion_ids(text: str) -> set[str]:
     return {line.strip() for line in text.splitlines() if line.strip()}
 
 
-def merge_extension(base: list[TurbineRecord],
-                    ext: list[TurbineRecord]) -> list[TurbineRecord]:
+def _first_duplicate(ids: np.ndarray) -> str | None:
+    """The first id that repeats an earlier one, or None.  Equal ids have
+    equal hashes, so sorted hashes rule duplicates out without a set of
+    every id, which would cost more than the ids themselves."""
+    hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
+    hashes = hashes[np.argsort(hashes)]  # argsort, as np.unique: one sort's code paged in
+    if not (hashes[1:] == hashes[:-1]).any():
+        return None
+    seen: set[str] = set()
+    for tid in ids:
+        if tid in seen:
+            return tid
+        seen.add(tid)
+    return None
+
+
+def merge_extension(base: Iterable[TurbineRecord],
+                    ext: Iterable[TurbineRecord]) -> TurbineColumns:
     """Union of base registry and decommissioned-turbine extension.
 
     On duplicate ids the base record wins, except that the decommissioning
-    flag/year are filled from the extension when the base lacks them.
+    flag/year are filled from the extension when the base lacks them.  An id
+    that appears twice in the extension is an error.
     """
-    by_id = {r.id: i for i, r in enumerate(base)}
-    merged = list(base)
-    n_new = n_filled = 0
-    for rec in ext:
-        i = by_id.get(rec.id)
-        if i is None:
-            merged.append(rec)
-            n_new += 1
-            continue
-        kept = merged[i]
-        flag = kept.decommissioned_flag or rec.decommissioned_flag
-        d_year = kept.decommissioning_year
-        if d_year is None:
-            d_year = rec.decommissioning_year
-        if flag != kept.decommissioned_flag or d_year != kept.decommissioning_year:
-            merged[i] = replace(kept, decommissioned_flag=flag,
-                                decommissioning_year=d_year)
-            n_filled += 1
-    log.info("merged extension: %d new records, %d decommissioning fills", n_new, n_filled)
-    return merged
+    base, ext = TurbineColumns.of(base), TurbineColumns.of(ext)
+    if (duplicate := _first_duplicate(ext.id)) is not None:
+        raise DataError(f"duplicate turbine id {duplicate} in extension")
+    by_id = dict(zip(base.id, range(len(base))))
+    at = np.fromiter(map(by_id.get, ext.id, itertools.repeat(-1)), np.intp, len(ext))
+    hit = at >= 0
+    i = at[hit]
+    flag = base.decommissioned_flag.copy()
+    flag[i] |= ext.decommissioned_flag[hit]
+    d_year = base.decommissioning_year.copy()
+    fill = d_year[i] == _NEVER
+    d_year[i[fill]] = ext.decommissioning_year[hit][fill]
+    n_filled = int(np.count_nonzero((flag[i] != base.decommissioned_flag[i])
+                                    | (d_year[i] != base.decommissioning_year[i])))
+    new = ext.take(~hit)
+    log.info("merged extension: %d new records, %d decommissioning fills", len(new), n_filled)
+    merged = replace(base, decommissioned_flag=flag, decommissioning_year=d_year)
+    return TurbineColumns.concat([merged, new])
 
 
-def impute_missing(records: list[TurbineRecord]) -> tuple[list[TurbineRecord], ImputationReport]:
+def check_commissioning_years(turbines: TurbineColumns) -> None:
+    """A turbine without a commissioning year is an error."""
+    missing = np.flatnonzero(turbines.commissioning_year == _NEVER)
+    if len(missing):
+        raise DataError(f"turbine {turbines.id[missing[0]]} has no commissioning year")
+
+
+def impute_missing(records: Iterable[TurbineRecord]
+                   ) -> tuple[TurbineColumns, ImputationReport]:
     """Fill missing hub height / rotor diameter / capacity by the mean of the
     observed values in the same commissioning year.
 
     Years with no observed value fall back to the mean over all years.  A
-    field observed nowhere in the dataset is an error.  Each field takes one
-    pass over the records, adding its values in record order.
+    field observed nowhere in the dataset is an error.  Every mean adds its
+    values in turbine order.
     """
-    in_year: dict[int, int] = {}
-    for rec in records:
-        if rec.commissioning_year is None:
-            raise DataError(f"turbine {rec.id} has no commissioning year")
-        in_year[rec.commissioning_year] = in_year.get(rec.commissioning_year, 0) + 1
-
-    years = sorted(in_year)
+    table = TurbineColumns.of(records)
+    check_commissioning_years(table)
+    years, cohort, in_year = np.unique(table.commissioning_year, return_inverse=True,
+                                       return_counts=True)
+    year_list = years.tolist()
     missing_share: dict[str, dict[int, float]] = {}
-    imputed_counts = {f: 0 for f in IMPUTABLE_FIELDS}
-    fallback_years: dict[str, list[int]] = {f: [] for f in IMPUTABLE_FIELDS}
-    year_means: dict[str, dict[int, float]] = {}
+    imputed_counts: dict[str, int] = {}
+    fallback_years: dict[str, list[int]] = {}
+    filled = {}
 
     for fname in IMPUTABLE_FIELDS:
-        sums: dict[int, float] = {}
-        counts: dict[int, int] = {}
-        total, n_observed = 0, 0
-        for rec in records:
-            value = getattr(rec, fname)
-            if value is not None:
-                year = rec.commissioning_year
-                sums[year] = sums.get(year, 0) + value
-                counts[year] = counts.get(year, 0) + 1
-                total += value
-                n_observed += 1
+        values = getattr(table, fname)
+        observed = ~np.isnan(values)
+        n_observed = int(np.count_nonzero(observed))
         if not n_observed:
             raise DataError(f"field never observed: {fname}")
-        global_mean = total / n_observed
-        year_means[fname] = {}
-        missing_share[fname] = {}
-        for year in years:
-            n = counts.get(year, 0)
-            missing_share[fname][year] = 1.0 - n / in_year[year]
-            if n:
-                year_means[fname][year] = sums[year] / n
-            else:
-                year_means[fname][year] = global_mean
-                fallback_years[fname].append(year)
+        counts = np.bincount(cohort[observed], minlength=len(years))
+        # bincount adds each year's values left to right, in turbine order
+        sums = np.bincount(cohort[observed], weights=values[observed], minlength=len(years))
+        global_mean = _turbine_order_sum(values[observed]) / n_observed
+        means = np.where(counts > 0, sums / np.maximum(counts, 1), global_mean)
+        missing_share[fname] = dict(zip(year_list, (1.0 - counts / in_year).tolist()))
+        fallback_years[fname] = years[counts == 0].tolist()
+        imputed_counts[fname] = len(values) - n_observed
+        filled[fname] = np.where(observed, values, means[cohort])
 
-    out = []
-    for rec in records:
-        fills = {f: year_means[f][rec.commissioning_year]
-                 for f in IMPUTABLE_FIELDS if getattr(rec, f) is None}
-        if not fills:
-            out.append(rec)
-            continue
-        for f in fills:
-            imputed_counts[f] += 1
-        out.append(replace(rec, imputed_fields=rec.imputed_fields | set(fills), **fills))
-
-    report = ImputationReport(missing_share, imputed_counts, fallback_years)
-    return out, report
+    imputed = table.imputed | np.isnan(
+        np.stack([getattr(table, f) for f in IMPUTABLE_FIELDS], axis=1))
+    return (replace(table, imputed=imputed, **filled),
+            ImputationReport(missing_share, imputed_counts, fallback_years))
 
 
-def preprocess(records: list[TurbineRecord], exclusion_ids: set[str] | None = None) -> Fleet:
+def preprocess(records: Iterable[TurbineRecord],
+               exclusion_ids: set[str] | None = None) -> Fleet:
     """Drop unusable records, record why, and impute the rest.
 
     Dropped: records on the exclusion list, and records with no
     commissioning year (unusable for annual aggregation).
     """
-    exclusion_ids = exclusion_ids or set()
-    seen: set[str] = set()
-    kept = []
-    n_excluded = n_no_year = 0
-    for rec in records:
-        if rec.id in seen:
-            raise DataError(f"duplicate turbine id {rec.id}")
-        seen.add(rec.id)
-        if rec.id in exclusion_ids:
-            n_excluded += 1
-            continue
-        if rec.commissioning_year is None:
-            n_no_year += 1
-            continue
-        kept.append(rec)
-    if not kept:
+    table = TurbineColumns.of(records)
+    if (duplicate := _first_duplicate(table.id)) is not None:
+        raise DataError(f"duplicate turbine id {duplicate}")
+    excluded = np.zeros(len(table), bool)
+    if exclusion_ids:
+        excluded = np.fromiter(map(exclusion_ids.__contains__, table.id), bool, len(table))
+    no_year = ~excluded & (table.commissioning_year == _NEVER)
+    dropped = excluded | no_year
+    if dropped.all():
         raise DataError("no usable turbines")
-    imputed, report = impute_missing(kept)
-    provenance = {"missing_commissioning_year": n_no_year, "excluded": n_excluded}
+    imputed, report = impute_missing(table.take(~dropped) if dropped.any() else table)
+    provenance = {"missing_commissioning_year": int(np.count_nonzero(no_year)),
+                  "excluded": int(np.count_nonzero(excluded))}
     return Fleet(turbines=imputed, provenance=provenance, imputation=report)
 
 
@@ -314,7 +473,18 @@ def rotor_swept_area(d: float) -> float:
     return math.pi * d * d / 4.0
 
 
-def imputation_bounds(records: list[TurbineRecord], year: int) -> tuple[float, float]:
+def swept_areas(turbines: TurbineColumns) -> np.ndarray:
+    """``rotor_swept_area`` of every turbine, in turbine order."""
+    d = turbines.rotor_diameter
+    bad = np.flatnonzero(~(d > 0))
+    if len(bad):
+        if math.isnan(d[bad[0]]):
+            raise DataError(f"turbine {turbines.id[bad[0]]} has no rotor diameter")
+        raise ValueError("rotor diameter must be positive")
+    return math.pi * d * d / 4.0
+
+
+def imputation_bounds(records: Iterable[TurbineRecord], year: int) -> tuple[float, float]:
     """Bounds on the swept area added in ``year`` under extreme imputation.
 
     Missing rotor diameters are filled with the smallest (low) and largest
@@ -322,6 +492,7 @@ def imputation_bounds(records: list[TurbineRecord], year: int) -> tuple[float, f
     observed diameter falls back to the global extremes, mirroring the mean
     imputation fallback.  Mean imputation always lands inside these bounds.
     """
+    records = list(records)
     for rec in records:
         if rec.commissioning_year is None:
             raise DataError(f"turbine {rec.id} has no commissioning year")
@@ -361,34 +532,10 @@ def operating_weight(rec: TurbineRecord, year: int,
     return 0.5 if year == cy else 1.0
 
 
-#: commissioning year standing in for a missing one: later than any year
-_NEVER = np.iinfo(np.int64).max // 2
-
-
-@dataclass(frozen=True)
-class TurbineColumns:
-    """The fields ``operating_weights`` reads, one array entry per turbine."""
-
-    commissioning_year: np.ndarray
-    decommissioned_flag: np.ndarray
-
-    @classmethod
-    def of(cls, turbines: list[TurbineRecord]) -> "TurbineColumns":
-        n = len(turbines)
-        cy = np.fromiter((_NEVER if r.commissioning_year is None else r.commissioning_year
-                          for r in turbines), np.int64, n)
-        flag = np.fromiter((r.decommissioned_flag for r in turbines), bool, n)
-        return cls(cy, flag)
-
-
-def operating_weights(turbines: list[TurbineRecord] | TurbineColumns, year: int,
+def operating_weights(turbines: Iterable[TurbineRecord], year: int,
                       scenario: ScenarioSpec | None = None) -> np.ndarray:
-    """``operating_weight`` of every turbine in ``year``, in turbine order.
-
-    ``turbines`` may be given as its ``TurbineColumns``, so that callers
-    weighting many years read the records once.
-    """
-    cols = turbines if isinstance(turbines, TurbineColumns) else TurbineColumns.of(turbines)
+    """``operating_weight`` of every turbine in ``year``, in turbine order."""
+    cols = TurbineColumns.of(turbines)
     cy = cols.commissioning_year
     weights = np.where(year < cy, 0.0, np.where(year == cy, 0.5, 1.0))
     if scenario is not None:
@@ -416,8 +563,8 @@ def _year_range(years) -> list[int]:
 def _weighted_series(fleet: Fleet, years, scenario: ScenarioSpec | None,
                      values) -> list[float]:
     """Per year, Σ operating weight · value over the fleet in turbine order."""
-    cols = TurbineColumns.of(fleet.turbines)
-    return [_turbine_order_sum(operating_weights(cols, y, scenario) * values) for y in years]
+    return [_turbine_order_sum(operating_weights(fleet.turbines, y, scenario) * values)
+            for y in years]
 
 
 def annual_counts(fleet: Fleet, years: range,
@@ -431,9 +578,8 @@ def annual_swept_area(fleet: Fleet, years: range,
                       scenario: ScenarioSpec | None = None) -> AnnualSeries:
     """Total rotor swept area per year (m²), same weighting as counts."""
     ys = _year_range(years)
-    areas = np.fromiter((rotor_swept_area(r.rotor_diameter) for r in fleet.turbines),
-                        np.float64, len(fleet.turbines))
-    return AnnualSeries(ys[0], _weighted_series(fleet, ys, scenario, areas), "m²")
+    return AnnualSeries(ys[0], _weighted_series(fleet, ys, scenario,
+                                                swept_areas(fleet.turbines)), "m²")
 
 
 def annual_capacity(fleet: Fleet, years: range,
@@ -445,11 +591,11 @@ def annual_capacity(fleet: Fleet, years: range,
     """
     scenario = scenario or ScenarioSpec()
     ys = _year_range(years)
-    kw = np.fromiter(
-        (0.0 if r.capacity is None
-         or (not scenario.impute_capacity and "capacity" in r.imputed_fields)
-         else r.capacity for r in fleet.turbines),
-        np.float64, len(fleet.turbines))
+    cap = fleet.turbines.capacity
+    dropped = np.isnan(cap)
+    if not scenario.impute_capacity:
+        dropped |= fleet.turbines.imputed_mask("capacity")
+    kw = np.where(dropped, 0.0, cap)
     return AnnualSeries(ys[0], [total / 1000.0 for total in
                                 _weighted_series(fleet, ys, scenario, kw)], "MW")
 

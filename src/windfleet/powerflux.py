@@ -18,13 +18,14 @@ import math
 import multiprocessing
 import time
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .fleet import (Fleet, TurbineColumns, TurbineRecord, operating_weights,
-                    rotor_swept_area)
+                    swept_areas)
 from .series import AnnualSeries
 from .windgrid import REFERENCE_HEIGHT, WindGrid, cell_weights, stamp_blocks
 
@@ -229,16 +230,14 @@ def _block_bounds(grid: WindGrid, k0: int, k1: int) -> np.ndarray:
     return np.asarray(edges)
 
 
-def _turbine_heights(turbines: list[TurbineRecord], height_mode) -> np.ndarray:
+def _turbine_heights(turbines: TurbineColumns, height_mode) -> np.ndarray:
     if isinstance(height_mode, str):
         if height_mode != "hub":
             raise ValueError(f"unknown height mode {height_mode!r}")
-        heights = []
-        for r in turbines:
-            if r.hub_height is None:
-                raise DataError(f"turbine {r.id} has no hub height")
-            heights.append(r.hub_height)
-        return np.asarray(heights, dtype=np.float64)
+        missing = np.flatnonzero(np.isnan(turbines.hub_height))
+        if len(missing):
+            raise DataError(f"turbine {turbines.id[missing[0]]} has no hub height")
+        return turbines.hub_height
     h = float(height_mode)
     if h <= 0:
         raise ValueError("fixed height must be positive")
@@ -262,15 +261,11 @@ class CubeSums:
     """
 
     grid: WindGrid
-    turbines: list[TurbineRecord]
+    turbines: TurbineColumns
     bounds: np.ndarray
     sums: np.ndarray
     calm_hours: int
     scale: np.ndarray
-    _columns: TurbineColumns = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._columns = TurbineColumns.of(self.turbines)
 
     def fleet_pin(self, height: int, period, climate_mode: str = "actual") -> float:
         """Fleet kinetic input power over ``period`` at the ``height``-th
@@ -288,11 +283,11 @@ class CubeSums:
         if c1 >= len(self.bounds) or self.bounds[c0] != k0 or self.bounds[c1] != k1:
             raise ValueError(f"period {period} is not a span of the pass's blocks")
         total = self.sums[height, c0:c1].sum(axis=0)
-        weights = operating_weights(self._columns, period_year(period))
+        weights = operating_weights(self.turbines, period_year(period))
         return math.fsum((weights * self.scale * (total / (k1 - k0))).tolist())
 
 
-def cube_sums(grid: WindGrid, turbines: list[TurbineRecord], height_modes,
+def cube_sums(grid: WindGrid, turbines: Iterable[TurbineRecord], height_modes,
               stamps: tuple[int, int], workers: int = 1) -> CubeSums:
     """One kernel pass over grid stamps [k0, k1) at each of ``height_modes``
     (``"hub"`` or a fixed height in meters) for every turbine.
@@ -303,21 +298,20 @@ def cube_sums(grid: WindGrid, turbines: list[TurbineRecord], height_modes,
     pool.  A turbine's sums do not depend on the chunk that holds it or where
     it runs, so every reduction is bit-identical at any worker count.
     """
-    bad = [r.id for r in turbines
-           if not (grid.lons[0] <= r.lon <= grid.lons[-1]
-                   and grid.lats[0] <= r.lat <= grid.lats[-1])]
+    turbines = TurbineColumns.of(turbines)
+    lon, lat = turbines.lon, turbines.lat
+    outside = ~((grid.lons[0] <= lon) & (lon <= grid.lons[-1])
+                & (grid.lats[0] <= lat) & (lat <= grid.lats[-1]))
+    bad = turbines.id[outside].tolist()
     if bad:
         shown = ", ".join(bad[:10])
         more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
         raise DataError(f"turbines outside wind grid: {shown}{more}")
-    areas = []
-    for r in turbines:
-        if r.rotor_diameter is None:
-            raise DataError(f"turbine {r.id} has no rotor diameter")
-        areas.append(rotor_swept_area(r.rotor_diameter))
+    areas = swept_areas(turbines)
     shear = 1.5 * np.log10(np.stack([_turbine_heights(turbines, h) for h in height_modes])
                            / REFERENCE_HEIGHT)
-    cells = np.asarray([cell_weights(grid, r.lon, r.lat) for r in turbines]).reshape(-1, 8)
+    cells = np.asarray([cell_weights(grid, x, y)
+                        for x, y in zip(lon.tolist(), lat.tolist())]).reshape(-1, 8)
     j0, j1, i0, i1 = cells[:, :4].T.astype(np.intp)
     order = np.lexsort((i1, i0, j1, j0))
     n_lon = len(grid.lons)
@@ -330,7 +324,7 @@ def cube_sums(grid: WindGrid, turbines: list[TurbineRecord], height_modes,
     if parts:
         sums[:, :, order] = np.concatenate([s for s, _ in parts], axis=2)
     return CubeSums(grid, turbines, inputs.bounds, sums, sum(c for _, c in parts),
-                    0.5 * RHO * np.asarray(areas, dtype=np.float64))
+                    0.5 * RHO * areas)
 
 
 def pin_series(grid: WindGrid, fleet: Fleet, periods,

@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterable
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError
-from .fleet import (IMPUTABLE_FIELDS, Fleet, ScenarioSpec, TurbineRecord,
-                    annual_capacity)
+from .fleet import (IMPUTABLE_FIELDS, Fleet, ScenarioSpec, TurbineColumns,
+                    TurbineRecord, annual_capacity, check_commissioning_years)
 from .series import AnnualSeries, check_aligned
 
 __all__ = [
@@ -44,7 +47,7 @@ def _column_series(pairs: list[tuple[int, float]], unit: str, label: str) -> Ann
 
 def parse_reference_csv(data: bytes) -> ReferenceData:
     """Parse ``year,installed_capacity_mw,generation_gwh``; either value
-    column may be empty on any row."""
+    column may be empty on any row, and no value may be negative."""
     reader = csv.reader(io.StringIO(data.decode("utf-8")))
     header = next(reader, None)
     expected = ["year", "installed_capacity_mw", "generation_gwh"]
@@ -71,9 +74,12 @@ def parse_reference_csv(data: bytes) -> ReferenceData:
             if raw == "":
                 continue
             try:
-                bucket.append((year, float(raw)))
+                value = float(raw)
             except ValueError:
                 raise DataError(f"non-numeric {label}, row {row_no}") from None
+            if value < 0:
+                raise DataError(f"negative {label}, row {row_no}")
+            bucket.append((year, value))
     if not seen:
         raise DataError("no reference data")
     return ReferenceData(
@@ -101,37 +107,26 @@ def scenario_capacity(fleet: Fleet, years, spec: ScenarioSpec) -> AnnualSeries:
     return annual_capacity(fleet, years, spec)
 
 
-def missingness_report(records: list[TurbineRecord]) -> dict[str, AnnualSeries]:
+def missingness_report(records: Iterable[TurbineRecord]) -> dict[str, AnnualSeries]:
     """Share of the operating fleet with originally missing meta parameters.
 
     For each year y and each imputable field, the share of turbines
     commissioned in or before y whose field was missing before imputation
     (decommissioning is neglected).  Imputed records are recognized via
     their imputation marks, so the report is the same before and after
-    imputation.  One pass counts each commissioning year's turbines and
-    blanks; the shares are ratios of their running totals.
+    imputation.  The shares are ratios of running totals of each
+    commissioning year's turbines and blanks.
     """
-    cohort: dict[int, int] = {}
-    blanks: dict[str, dict[int, int]] = {f: {} for f in IMPUTABLE_FIELDS}
-    for rec in records:
-        cy = rec.commissioning_year
-        if cy is None:
-            raise DataError(f"turbine {rec.id} has no commissioning year")
-        cohort[cy] = cohort.get(cy, 0) + 1
-        for fname, counts in blanks.items():
-            if getattr(rec, fname) is None or fname in rec.imputed_fields:
-                counts[cy] = counts.get(cy, 0) + 1
-    if not records:
+    table = TurbineColumns.of(records)
+    check_commissioning_years(table)
+    if not len(table):
         raise DataError("no turbines")
-    years = range(min(cohort), max(cohort) + 1)
-
+    first = int(table.commissioning_year.min())
+    offset = table.commissioning_year - first
+    n = np.cumsum(np.bincount(offset))
     out = {}
-    for fname, counts in blanks.items():
-        shares = []
-        n = missing = 0
-        for y in years:
-            n += cohort.get(y, 0)
-            missing += counts.get(y, 0)
-            shares.append(missing / n)
-        out[fname] = AnnualSeries(years.start, shares, "dimensionless")
+    for fname in IMPUTABLE_FIELDS:
+        blank = np.isnan(getattr(table, fname)) | table.imputed_mask(fname)
+        missing = np.cumsum(np.bincount(offset[blank], minlength=len(n)))
+        out[fname] = AnnualSeries(first, (missing / n).tolist(), "dimensionless")
     return out

@@ -436,6 +436,34 @@ class TestValidateSubcommand:
             assert (val / name).read_bytes() == (out / name).read_bytes(), name
 
 
+    def test_negative_reference_value_is_data_error(self, fixture_dir, tmp_path, capsys,
+                                                    registry_reads):
+        reference = tmp_path / "negative_reference.csv"
+        reference.write_text("year,installed_capacity_mw,generation_gwh\n"
+                             "2010,100.0,\n2011,-5,\n", encoding="utf-8")
+        out = tmp_path / "val"
+        assert main(self.validate_args(fixture_dir, out, "--reference", str(reference))) == 3
+        assert capsys.readouterr().err == "reference: negative capacity, row 2\n"
+        assert registry_reads == []
+        assert not out.exists()
+
+    def test_duplicate_extension_id_is_fleet_data_error(self, fixture_dir, tmp_path,
+                                                         capsys):
+        """Two extension rows for one base turbine: neither may win silently."""
+        base = (fixture_dir / "turbines.csv").read_text(encoding="utf-8").splitlines()
+        row = base[1].split(",")
+        extension = tmp_path / "extension.csv"
+        extension.write_text("\n".join([base[0],
+                                        ",".join(row[:7] + ["true", "2015"]),
+                                        ",".join(row[:7] + ["true", "2016"])]) + "\n",
+                             encoding="utf-8")
+        out = tmp_path / "val"
+        assert main(self.validate_args(fixture_dir, out, "--extension", str(extension))) == 3
+        assert capsys.readouterr().err == (
+            f"fleet: duplicate turbine id {row[0]} in extension\n")
+        assert not out.exists()
+
+
 class TestRegistryErrorsPerCommand:
     """Every command that reads the registry reports its errors alike: a
     missing file as its input's configuration error, a bad file as the

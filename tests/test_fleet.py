@@ -107,7 +107,22 @@ class TestMergeExtension:
         assert merge_extension(base, ext)[0].decommissioning_year == 2014
 
     def test_empty(self):
-        assert merge_extension([], []) == []
+        assert list(merge_extension([], [])) == []
+
+    @pytest.mark.parametrize("tid", ["T1", "T2"])
+    def test_duplicate_extension_ids_rejected(self, tid):
+        """A repeated extension id fails whether or not the base has it."""
+        ext = [turbine(tid, flagged=True, d_year=2015), turbine(tid, d_year=2016)]
+        with pytest.raises(DataError, match=f"^duplicate turbine id {tid} in extension$"):
+            merge_extension([turbine("T1")], ext)
+
+    def test_merged_table_keeps_base_order_then_new(self):
+        base = [turbine("A"), turbine("B", d_year=2014), turbine("C")]
+        ext = [turbine("N", flagged=True), turbine("C", flagged=True, d_year=2019),
+               turbine("B", d_year=2020)]
+        merged = merge_extension(base, ext)
+        assert [(r.id, r.decommissioned_flag, r.decommissioning_year) for r in merged] == [
+            ("A", False, None), ("B", False, 2014), ("C", True, 2019), ("N", True, None)]
 
 
 class TestPreprocess:
@@ -159,7 +174,7 @@ class TestImputeMissing:
     def test_identity_when_complete(self):
         recs = [turbine("A"), turbine("B", rotor=90.0)]
         out, report = impute_missing(recs)
-        assert out == recs
+        assert list(out) == recs
         assert all(v == 0.0 for shares in report.missing_share.values()
                    for v in shares.values())
 

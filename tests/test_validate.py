@@ -34,6 +34,15 @@ class TestParseReferenceCsv:
         with pytest.raises(DataError, match="non-contiguous"):
             parse_reference_csv(ref_csv(["2010,1,", "2012,2,"]))
 
+    @pytest.mark.parametrize("row, label", [("2011,-5,", "capacity"),
+                                            ("2011,5,-0.5", "generation")])
+    def test_negative_value_names_row(self, row, label):
+        with pytest.raises(DataError, match=f"^negative {label}, row 2$"):
+            parse_reference_csv(ref_csv(["2010,1,1", row]))
+
+    def test_zero_value_parses(self):
+        assert parse_reference_csv(ref_csv(["2010,0,0"])).capacity_mw.values == [0.0]
+
     def test_column_fully_empty(self):
         ref = parse_reference_csv(ref_csv(["2010,40000,", "2011,46000,"]))
         assert ref.generation_gwh is None
