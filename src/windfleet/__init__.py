@@ -15,16 +15,15 @@ from .decomp import (additive_pin_decomposition, index_relative,
 from .errors import ConfigError, DataError, InvariantError
 from .fleet import (Fleet, ScenarioSpec, TurbineColumns, TurbineRecord,
                     annual_capacity, annual_counts, annual_swept_area, impute_missing,
-                    imputation_bounds, merge_extension, parse_turbine_csv,
-                    preprocess, rotor_swept_area, specific_power)
+                    merge_extension, parse_turbine_csv, preprocess, rotor_swept_area,
+                    specific_power)
 from .powerflux import (BETZ_LIMIT, RHO, BetzLimitWarning, aggregate_pin,
-                        annual_pin_series, capacity_factor,
-                        input_power_density, kinetic_power,
-                        output_power_density, parse_generation_csv,
-                        pout_series, system_efficiency)
+                        annual_pin_series, capacity_factor, input_power_density,
+                        output_power_density, parse_generation_csv, pout_series,
+                        system_efficiency)
 from .series import AnnualSeries
 from .synth import SplitMix64, SynthSpec, WindModel, brute_force_pin
-from .trends import counterfactual_efficiency, ols_fit, pearson, trend_slope
+from .trends import counterfactual_efficiency, ols_fit, pearson
 from .validate import (missingness_report, parse_reference_csv,
                        relative_difference, scenario_capacity)
 from .windgrid import (WindGrid, bilinear, hub_height_speed, load_windgrid,

@@ -484,34 +484,6 @@ def swept_areas(turbines: TurbineColumns) -> np.ndarray:
     return math.pi * d * d / 4.0
 
 
-def imputation_bounds(records: Iterable[TurbineRecord], year: int) -> tuple[float, float]:
-    """Bounds on the swept area added in ``year`` under extreme imputation.
-
-    Missing rotor diameters are filled with the smallest (low) and largest
-    (high) diameter observed among that year's turbines; a year with no
-    observed diameter falls back to the global extremes, mirroring the mean
-    imputation fallback.  Mean imputation always lands inside these bounds.
-    """
-    records = list(records)
-    for rec in records:
-        if rec.commissioning_year is None:
-            raise DataError(f"turbine {rec.id} has no commissioning year")
-    in_year = [r for r in records if r.commissioning_year == year]
-    if not in_year:
-        return 0.0, 0.0
-    observed = [r.rotor_diameter for r in in_year if r.rotor_diameter is not None]
-    if not observed:
-        observed = [r.rotor_diameter for r in records if r.rotor_diameter is not None]
-        if not observed:
-            raise DataError("field never observed: rotor_diameter")
-    d_lo, d_hi = min(observed), max(observed)
-    low = sum(rotor_swept_area(r.rotor_diameter if r.rotor_diameter is not None else d_lo)
-              for r in in_year)
-    high = sum(rotor_swept_area(r.rotor_diameter if r.rotor_diameter is not None else d_hi)
-               for r in in_year)
-    return low, high
-
-
 def operating_weight(rec: TurbineRecord, year: int,
                      scenario: ScenarioSpec | None = None) -> float:
     """Contribution weight of a turbine to year ``year``.

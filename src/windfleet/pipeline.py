@@ -71,7 +71,7 @@ def stage(name: str | None):
         raise PipelineError(name or "config", str(exc), EXIT_CONFIG) from exc
     except InvariantError as exc:
         raise PipelineError(name or "internal", str(exc), EXIT_INTERNAL) from exc
-    except (DataError, ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError, csv.Error) as exc:
         raise PipelineError(name or "data", str(exc), EXIT_DATA) from exc
 
 
@@ -275,6 +275,18 @@ def load_reference(path, years: range) -> AnnualSeries | None:
         return ref.slice(lo, hi)
 
 
+def load_generation(path, years: range) -> powerflux.MonthlySeries:
+    """Monthly net generation, checked to cover every month of the study
+    years, so a bad generation file fails before the wind grid is read."""
+    with stage("generation"):
+        energy = powerflux.parse_generation_csv(Path(path).read_bytes())
+        for year in years:
+            for month in range(1, 13):
+                if not energy.covers(year, month):
+                    raise DataError(f"missing generation for {year}-{month:02d}")
+        return energy
+
+
 def load_fleet(turbines, extension=None, exclusions=None) -> fleet_mod.Fleet:
     """The fleet stage's input: parse the registry, merge the decommissioning
     extension, drop the excluded ids, and preprocess (impute) the rest.
@@ -332,8 +344,10 @@ class PowerSeries:
     monthly_density: list[float]
 
 
-def power_stage(config: RunConfig, fleet: FleetSeries) -> PowerSeries:
-    """P_in from one kernel pass over the grid, P_out from the generation file."""
+def power_stage(config: RunConfig, fleet: FleetSeries,
+                energy: powerflux.MonthlySeries) -> PowerSeries:
+    """P_in from one kernel pass over the grid, P_out from ``load_generation``'s
+    series."""
     years = config.years
     with stage("windgrid"):
         grid = windgrid.load_windgrid(config.windgrid)
@@ -343,7 +357,6 @@ def power_stage(config: RunConfig, fleet: FleetSeries) -> PowerSeries:
     with stage("powerflux"):
         pins = powerflux.report_pin(grid, fleet.fleet, years, config.reference_height,
                                     config.workers)
-        energy = powerflux.parse_generation_csv(Path(config.generation).read_bytes())
         p_in = pins.annual
         p_out = AnnualSeries(years.start, [powerflux.pout_series(energy, y) for y in years],
                              "W")
@@ -454,8 +467,9 @@ def run_pipeline(config: RunConfig) -> ReportBundle:
     """Execute every stage and write the report bundle; see module docs."""
     config.check()
     reference = load_reference(config.reference, config.years)
+    energy = load_generation(config.generation, config.years)
     fleet = fleet_stage(config)
-    power = power_stage(config, fleet)
+    power = power_stage(config, fleet, energy)
     result = decomposition_stage(fleet.n, fleet.area, power.pin.annual, power.p_out,
                                  config.base_year, power.pin.annual_avg,
                                  power.pin.annual_ref_avg)

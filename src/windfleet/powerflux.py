@@ -65,13 +65,6 @@ def period_year(period) -> int:
     return period if isinstance(period, int) else period[0]
 
 
-def kinetic_power(v: float, area: float) -> float:
-    """Kinetic power of air moving at ``v`` through ``area``: ½·rho·A·v³."""
-    if v < 0 or area < 0:
-        raise ValueError("speed and area must be nonnegative")
-    return 0.5 * RHO * area * v ** 3
-
-
 # ---------------------------------------------------------------------------
 # fleet-level aggregation: one kernel pass, then weighted reductions
 # ---------------------------------------------------------------------------
@@ -126,14 +119,14 @@ def _chunk_cube_sums(inputs: _PassInputs, chunk: tuple[int, int]) -> tuple[np.nd
     def view(buf: np.ndarray, *shape: int) -> np.ndarray:
         return buf[:math.prod(shape)].reshape(shape)
 
-    with stamp_blocks(inputs.grid, longest) as read:
+    with stamp_blocks(inputs.grid, nodes) as fill:
         for col in range(len(edges) - 1):
             k0, k1 = edges[col], edges[col + 1]
             x = view(values, k1 - k0, m)
             u, v, q10, q100, cube = (view(buf, n, k1 - k0) for buf in work)
             for q, names in ((q10, ("u10", "v10")), (q100, ("u100", "v100"))):
                 for y, name in zip((u, v), names):
-                    x[...] = read(name, k0, k1).take(nodes, axis=1)
+                    fill(name, k0, k1, x)
                     np.square(np.matmul(weights, x.T, out=y), out=y)
                 np.add(u, v, out=q)
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -50,11 +50,6 @@ def ols_fit(xs, ys) -> OlsFit:
     return OlsFit(slope, intercept, residuals, r_squared)
 
 
-def trend_slope(series: AnnualSeries) -> float:
-    """Per-year slope of a least-squares time trend on an annual series."""
-    return ols_fit(list(series.years), series.values).slope
-
-
 class Counterfactual(NamedTuple):
     series: AnnualSeries
     #: the input density was constant, so ``series`` is the observed efficiency

@@ -7,9 +7,14 @@ axes, then four f32 payload arrays ``u10, v10, u100, v100`` laid out
 [time][lat][lon] row-major.  Payload is stored as 32-bit floats; all
 arithmetic on it is done in 64-bit.
 
-A loaded WGRD payload stays on disk: ``load_windgrid`` checks it in bounded
-reads and maps it read-only, and ``stamp_blocks`` reads it one stamp block
-per variable, so memory does not grow with the file size.
+Every pass that reads a payload goes through one window of
+``WINDOW_VALUES`` values: ``load_windgrid``'s check, the finite check of
+``WindGrid.validate`` and the kernel's positioned reads in ``stamp_blocks``,
+which read at most ``max(1, WINDOW_VALUES // grid nodes)`` stamps at a time.  A
+loaded payload stays on disk, mapped read-only, so a report holds the
+interpreter, numpy and its BLAS, the window and one turbine chunk's work
+arrays: its memory grows neither with the file size nor with the grid's node
+count.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ VARIABLES = ("u10", "v10", "u100", "v100")
 REFERENCE_HEIGHT = 100.0
 
 _HEADER = struct.Struct("<4s4I2q")
-#: payload values checked per read while loading a WGRD file (4 MB)
-_CHECK_VALUES = 1 << 20
+#: payload values one pass over a payload holds at a time (256 KiB of f32)
+WINDOW_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,8 +119,10 @@ def _check_layout(step: int, n_time: int, lats: np.ndarray, lons: np.ndarray) ->
 
 
 def _check_finite(name: str, values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise DataError(f"variable {name} contains non-finite values")
+    flat = values.reshape(-1)
+    for start in range(0, flat.size, WINDOW_VALUES):
+        if not np.isfinite(flat[start:start + WINDOW_VALUES]).all():
+            raise DataError(f"variable {name} contains non-finite values")
 
 
 def _write_grid(grid: WindGrid, fh) -> None:
@@ -178,8 +185,8 @@ def load_windgrid(path) -> WindGrid:
     maps of its payload.
 
     The header, the size and the axes are checked as in ``grid_from_bytes``;
-    the payload is streamed once through one reused buffer and every value
-    must be finite.  Nothing of the payload stays in memory.
+    the payload is read once, one window at a time into one reused buffer,
+    and every value must be finite.  Nothing of the payload stays in memory.
     """
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
@@ -189,7 +196,7 @@ def load_windgrid(path) -> WindGrid:
         _check_layout(step, n_time, lats, lons)
         offset = fh.tell()
         n_cells = n_time * n_lat * n_lon
-        buf = np.empty(min(n_cells, _CHECK_VALUES), dtype="<f4")
+        buf = np.empty(min(n_cells, WINDOW_VALUES), dtype="<f4")
         for name in VARIABLES:
             for start in range(0, n_cells, len(buf)):
                 part = buf[:min(len(buf), n_cells - start)]
@@ -214,30 +221,40 @@ def _pread_into(fd: int, out: np.ndarray, offset: int) -> None:
 
 
 @contextmanager
-def stamp_blocks(grid: WindGrid, max_stamps: int):
-    """Yield ``read(name, k0, k1)``: stamps [k0, k1) of one variable as a
-    [stamp, node] f32 array, for k1 - k0 <= ``max_stamps``.
+def stamp_blocks(grid: WindGrid, nodes: np.ndarray):
+    """Yield ``fill(name, k0, k1, out)``: put stamps [k0, k1) of one variable
+    at the flat nodes ``nodes`` (lat·n_lon + lon) into ``out``, a
+    [k1 - k0, len(nodes)] f64 array.
 
-    An in-memory grid is sliced.  A file-backed grid is read with one
-    positioned read per call into one buffer that every call reuses, so a
-    returned block is valid until the next call.  The file is opened once
-    and must still be the file that ``load_windgrid`` validated.
+    An in-memory grid is sliced.  A file-backed grid is read in positioned
+    reads of at most ``max(1, WINDOW_VALUES // grid nodes)`` whole stamps
+    into one reused buffer, and ``nodes`` are taken from each read, so no
+    buffer grows with the grid's node count beyond one stamp.  The file is opened once and
+    must still be the file that ``load_windgrid`` validated.
     """
-    if grid.source is None:
-        yield lambda name, k0, k1: grid.variable(name)[k0:k1].reshape(k1 - k0, -1)
-        return
     n_nodes = len(grid.lats) * len(grid.lons)
-    buf = np.empty((max_stamps, n_nodes), dtype="<f4")
+    if grid.source is None:
+        def fill(name: str, k0: int, k1: int, out: np.ndarray) -> None:
+            values = grid.variable(name)[k0:k1].reshape(k1 - k0, n_nodes)
+            out[...] = values.take(nodes, axis=1)
+
+        yield fill
+        return
+    span = max(1, WINDOW_VALUES // n_nodes)
+    buf = np.empty(span * n_nodes, dtype="<f4")
+    stamp_bytes = buf.itemsize * n_nodes
     fd = grid.source.open()
 
-    def read(name: str, k0: int, k1: int) -> np.ndarray:
-        block = buf[:k1 - k0]
-        stamp = VARIABLES.index(name) * grid.n_time + k0
-        _pread_into(fd, block, grid.source.offset + stamp * buf.itemsize * n_nodes)
-        return block
+    def fill(name: str, k0: int, k1: int, out: np.ndarray) -> None:
+        first = VARIABLES.index(name) * grid.n_time
+        for s in range(k0, k1, span):
+            e = min(s + span, k1)
+            block = buf[:(e - s) * n_nodes].reshape(e - s, n_nodes)
+            _pread_into(fd, block, grid.source.offset + (first + s) * stamp_bytes)
+            out[s - k0:e - k0] = block.take(nodes, axis=1)
 
     try:
-        yield read
+        yield fill
     finally:
         os.close(fd)
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -501,8 +502,9 @@ class TestRegistryErrorsPerCommand:
 
 
 class TestReportReferencePolicy:
-    """``report`` checks its reference as ``validate`` does: before the
-    registry or the grid is read, exit 3 on a bad one."""
+    """``report`` checks its reference as ``validate`` does, and then its
+    generation file: before the registry or the grid is read, exit 3 on a
+    bad one."""
 
     @pytest.fixture
     def compute(self, monkeypatch):
@@ -537,6 +539,53 @@ class TestReportReferencePolicy:
         assert code == 3
         assert "reference CSV header" in capsys.readouterr().err
         assert compute == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("net_generation_mwh", "mwh", 1),
+         "generation CSV header must be year,month,net_generation_mwh"),
+        (lambda text: text.rstrip("\n").rsplit("\n", 1)[0] + "\n",
+         "missing generation for 2011-12"),
+    ], ids=["header", "missing_month"])
+    def test_bad_generation(self, fixture_dir, tmp_path, compute, capsys, edit, message):
+        generation = tmp_path / "bad_generation.csv"
+        generation.write_text(edit((fixture_dir / "generation.csv").read_text()),
+                              encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_report(fixture_dir, out, ["--generation", str(generation)]) == 3
+        assert capsys.readouterr().err == f"generation: {message}\n"
+        assert compute == []
+        assert not out.exists()
+
+
+class TestOversizedCsvField:
+    """A field over the csv module's limit is a data error in every CSV
+    input: exit 3 with the stage's prefix, no traceback and no output."""
+
+    FIELD = "9" * 140_000
+
+    @pytest.mark.parametrize("name, prefix", [
+        ("turbines", "fleet"), ("reference", "reference"), ("generation", "generation")])
+    def test_report_input(self, name, prefix, fixture_dir, tmp_path, capsys):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text((fixture_dir / f"{name}.csv").read_text() + self.FIELD + "\n",
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_report(fixture_dir, out, [f"--{name}", str(bad)]) == 3
+        assert capsys.readouterr().err.startswith(f"{prefix}: field larger than field limit")
+        assert not out.exists()
+
+    def test_decompose_series(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_text("year,value,unit\n2010,1.0,W\n2011,2.0,W\n", encoding="utf-8")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"year,value,unit\n2010,1.0,W\n2011,{self.FIELD},W\n",
+                       encoding="utf-8")
+        out = tmp_path / "dec.json"
+        code = main(["decompose", "--n", str(good), "--area", str(good), "--pin", str(bad),
+                     "--pout", str(good), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data: field larger than field limit")
         assert not out.exists()
 
 
@@ -704,6 +753,8 @@ class TestExitPolicy:
         (ValueError("bad number"), 3, "data", "bad number"),
         (OSError("disk full"), 3, "data", "disk full"),
         (InvariantError("broken"), 4, "internal", "broken"),
+        (csv.Error("field larger than field limit (131072)"), 3, "data",
+         "field larger than field limit (131072)"),
     ])
     @pytest.mark.parametrize("name", ["fleet", None])
     def test_stage(self, name, error, code, kind, message):

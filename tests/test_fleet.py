@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from conftest import fleet_of, turbine
 from windfleet.errors import DataError
 from windfleet.fleet import (IMPUTABLE_FIELDS, ScenarioSpec, annual_capacity,
-                             annual_counts, annual_swept_area,
-                             imputation_bounds, impute_missing,
+                             annual_counts, annual_swept_area, impute_missing,
                              merge_extension, operating_weight,
                              operating_weights, parse_exclusion_ids,
                              parse_turbine_csv, preprocess, rotor_swept_area,
@@ -184,13 +183,26 @@ class TestImputeMissing:
             impute_missing(recs)
 
 
+def extreme_fill_areas(recs, year):
+    """Swept area added in ``year`` with every missing rotor diameter filled
+    with the smallest and with the largest diameter observed that year, or
+    in any year when that year has none."""
+    in_year = [r for r in recs if r.commissioning_year == year]
+    observed = ([r.rotor_diameter for r in in_year if r.rotor_diameter is not None]
+                or [r.rotor_diameter for r in recs if r.rotor_diameter is not None])
+    return tuple(sum(rotor_swept_area(r.rotor_diameter if r.rotor_diameter is not None
+                                      else fill) for r in in_year)
+                 for fill in (min(observed), max(observed)))
+
+
 class TestImputationBounds:
+    """Mean imputation lands between filling with the extreme diameters."""
+
     def test_extreme_fill_values(self):
         recs = [turbine("A", year=2015, rotor=100.0),
                 turbine("B", year=2015, rotor=110.0),
                 turbine("C", year=2015, rotor=None)]
-        low, high = imputation_bounds(recs, 2015)
-        # direct pi*d^2/4 sums with the missing rotor at the observed extremes
+        low, high = extreme_fill_areas(recs, 2015)
         assert low == pytest.approx(2 * math.pi * 2500 + math.pi * 3025, rel=1e-12)
         assert high == pytest.approx(math.pi * 2500 + 2 * math.pi * 3025, rel=1e-12)
         imputed, _ = impute_missing(recs)
@@ -199,15 +211,16 @@ class TestImputationBounds:
 
     def test_no_missing_degenerate(self):
         recs = [turbine("A", rotor=100.0), turbine("B", rotor=110.0)]
-        low, high = imputation_bounds(recs, 2010)
-        total = sum(rotor_swept_area(r.rotor_diameter) for r in recs)
-        assert low == high == pytest.approx(total)
+        imputed, _ = impute_missing(recs)
+        assert [r.rotor_diameter for r in imputed] == [100.0, 110.0]
+        low, high = extreme_fill_areas(recs, 2010)
+        assert low == high == sum(rotor_swept_area(r.rotor_diameter) for r in imputed)
 
     def test_all_equal_diameters(self):
         recs = [turbine("A", rotor=80.0), turbine("B", rotor=80.0),
                 turbine("C", rotor=None)]
-        low, high = imputation_bounds(recs, 2010)
-        assert low == high
+        imputed, _ = impute_missing(recs)
+        assert [r.rotor_diameter for r in imputed] == [80.0, 80.0, 80.0]
 
     def test_sandwich_on_random_fleets(self):
         rng = random.Random(7)
@@ -220,7 +233,7 @@ class TestImputationBounds:
                 continue
             imputed, _ = impute_missing(recs)
             for year in {r.commissioning_year for r in recs}:
-                low, high = imputation_bounds(recs, year)
+                low, high = extreme_fill_areas(recs, year)
                 mean_total = sum(rotor_swept_area(r.rotor_diameter)
                                  for r in imputed if r.commissioning_year == year)
                 assert low <= mean_total + 1e-9 and mean_total <= high + 1e-9

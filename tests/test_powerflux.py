@@ -13,13 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import const_grid, fleet_of, grid_from_field, turbine
-from windfleet import powerflux
+from windfleet import powerflux, windgrid
 from windfleet.errors import DataError
 from windfleet.powerflux import (BETZ_LIMIT, RHO, BetzLimitWarning,
                                  MonthlySeries, aggregate_pin,
                                  annual_pin_series, capacity_factor, cube_sums,
                                  hours_in_period, input_power_density,
-                                 kinetic_power, output_power_density,
+                                 output_power_density,
                                  parse_generation_csv, period_bounds,
                                  pout_series, system_efficiency)
 from windfleet.synth import brute_force_pin
@@ -53,27 +53,37 @@ class TestPeriods:
 
 
 class TestKineticPower:
+    """½·rho·A·v³ of one turbine through the pass: a constant wind of speed v
+    over January 2010, no shear."""
+
+    @staticmethod
+    def power(v, rotor):
+        grid = const_grid(v10=v, v100=v, n_time=24 * 31)
+        return aggregate_pin(grid, fleet_of([turbine(year=2009, rotor=rotor)]), (2010, 1))
+
     def test_unit_inputs(self):
-        assert kinetic_power(1.0, 1.0) == pytest.approx(0.6125, rel=1e-15)
+        assert self.power(1.0, UNIT_ROTOR) == pytest.approx(0.6125, rel=1e-12)
 
     def test_worked_example(self):
-        assert kinetic_power(10.0, 7853.98) == pytest.approx(4810562.75, rel=1e-12)
+        # A = pi·100²/4 = 7853.98 m²
+        assert self.power(10.0, 100.0) == pytest.approx(4810563.7508, rel=1e-10)
 
     def test_zero_speed(self):
-        assert kinetic_power(0.0, 100.0) == 0.0
+        assert self.power(0.0, 100.0) == 0.0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            kinetic_power(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            kinetic_power(1.0, -1.0)
+        for rotor in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="rotor diameter must be positive"):
+                self.power(1.0, rotor)
 
     def test_cubic_scaling(self):
+        # speeds exact in f32 and power-of-two factors: c·v is stored exactly
         rng = random.Random(1)
-        for _ in range(50):
-            v, a, c = rng.uniform(0, 20), rng.uniform(0, 1e4), rng.uniform(0.1, 4)
-            assert kinetic_power(c * v, a) == pytest.approx(
-                c ** 3 * kinetic_power(v, a), rel=1e-12)
+        for _ in range(20):
+            v = float(np.float32(rng.uniform(0.5, 20)))
+            rotor, c = rng.uniform(20, 150), rng.choice([0.25, 0.5, 2.0, 4.0])
+            assert self.power(c * v, rotor) == pytest.approx(
+                c ** 3 * self.power(v, rotor), rel=1e-12)
 
 
 class TestAggregatePin:
@@ -233,6 +243,37 @@ class TestFileBackedPass:
             cube_sums(loaded, recs, ["hub"], (0, grid.n_time))
 
 
+class TestWindowedReads:
+    """The pass reads a file in windows of whole stamps, never more than
+    ``WINDOW_VALUES`` values unless one stamp is larger."""
+
+    @pytest.mark.parametrize("window, largest", [(60, 5 * 12), (7, 12)],
+                             ids=["five_stamps", "one_stamp"])
+    def test_sums_bit_identical_in_small_windows(self, tmp_path, monkeypatch, window,
+                                                 largest):
+        grid, recs = TestFileBackedPass.grid_and_turbines()
+        path = tmp_path / "g.wgrd"
+        write_windgrid(grid, path)
+        span = (0, grid.n_time)
+        memory = cube_sums(grid, recs, ["hub", 76.0], span)
+        reads = []
+        pread_into = windgrid._pread_into
+
+        def recording(fd, out, offset):
+            reads.append(out.size)
+            pread_into(fd, out, offset)
+
+        monkeypatch.setattr(windgrid, "WINDOW_VALUES", window)
+        monkeypatch.setattr(windgrid, "_pread_into", recording)
+        disk = cube_sums(load_windgrid(path), recs, ["hub", 76.0], span)
+        assert np.array_equal(disk.sums, memory.sums)
+        assert disk.calm_hours == memory.calm_hours
+        # 150 turbines make 3 chunks; each reads every stamp of the four
+        # variables at the 12 nodes once
+        assert max(reads) == largest
+        assert sum(reads) == 3 * 4 * grid.n_time * 12
+
+
 _RSS_CHILD = """
 import json, sys
 from pathlib import Path
@@ -252,43 +293,76 @@ path, points = sys.argv[1], json.loads(sys.argv[2])
 recs = [turbine(f"T{i}", lon=lon, lat=lat, year=2009) for i, (lon, lat) in enumerate(points)]
 before = peak_kb()
 grid = load_windgrid(path)
+loaded = peak_kb()
 sums = cube_sums(grid, recs, ["hub", 76.0], (0, grid.n_time))
-print(json.dumps({"growth_kb": peak_kb() - before, "sums": sums.sums.tolist(),
-                  "calm_hours": sums.calm_hours}))
+print(json.dumps({"load_kb": loaded - before, "growth_kb": peak_kb() - before,
+                  "sums": sums.sums.tolist(), "calm_hours": sums.calm_hours}))
 """
+
+needs_proc_status = pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                                       reason="needs /proc/self/status for the peak RSS")
+
+
+def rss_child(path, points) -> dict:
+    """Load ``path`` and run the pass at hub height and 76 m for turbines at
+    ``points`` in a fresh interpreter: the peak RSS growth of the load and
+    of load plus pass, the sums and the calm hours."""
+    import windfleet
+    src = Path(windfleet.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+    proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, str(path), json.dumps(points)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def corner_grid(n_time, side):
+    """``side`` x ``side`` nodes over 30° x 25°, the same u wind at 10 m and
+    100 m and no v wind."""
+    rng = np.random.default_rng(5)
+    u = (rng.random((n_time, side, side), dtype=np.float32) * 10.0 + 2.0)
+    zeros = np.zeros_like(u)
+    return grid_from_field(u, zeros, u, zeros, lons=np.linspace(-100.0, -70.0, side),
+                           lats=np.linspace(25.0, 50.0, side))
 
 
 class TestBoundedMemory:
-    @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
-                        reason="needs /proc/self/status for the peak RSS")
+    #: turbines near the south-west corner node
+    POINTS = [(-99.9, 25.1), (-99.75, 25.3), (-99.6, 25.05)]
+
+    @needs_proc_status
     def test_pass_memory_does_not_grow_with_file(self, tmp_path):
         # 60x60 nodes over January-March 2010, turbines in the south-west
         # corner cell only: the file is 124 MB, the turbines read 4 nodes
-        n, side = 24 * (31 + 28 + 31), 60
-        rng = np.random.default_rng(5)
-        u = (rng.random((n, side, side), dtype=np.float32) * 10.0 + 2.0)
-        zeros = np.zeros_like(u)
-        grid = grid_from_field(u, zeros, u, zeros, lons=np.linspace(-100.0, -70.0, side),
-                               lats=np.linspace(25.0, 50.0, side))
+        n = 24 * (31 + 28 + 31)
+        grid = corner_grid(n, 60)
         path = tmp_path / "big.wgrd"
         write_windgrid(grid, path)
         size = path.stat().st_size
         assert size >= 80e6
-        points = [(-99.9, 25.1), (-99.75, 25.3), (-99.6, 25.05)]
-        recs = [turbine(f"T{i}", lon=lon, lat=lat, year=2009) for i, (lon, lat) in enumerate(points)]
+        recs = [turbine(f"T{i}", lon=lon, lat=lat, year=2009)
+                for i, (lon, lat) in enumerate(self.POINTS)]
         expected = cube_sums(grid, recs, ["hub", 76.0], (0, n))
-        del grid, u, zeros
+        del grid
 
-        import windfleet
-        src = Path(windfleet.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
-        proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, str(path), json.dumps(points)],
-                              env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        child = json.loads(proc.stdout)
+        child = rss_child(path, self.POINTS)
         assert child["sums"] == expected.sums.tolist()
         assert child["calm_hours"] == 0
         assert child["growth_kb"] * 1024 < 0.25 * size, (child["growth_kb"], size)
+
+    @needs_proc_status
+    def test_growth_does_not_depend_on_node_count(self, tmp_path):
+        # January 2010 on 30x30 and on 90x90 nodes, the same three turbines:
+        # reading a whole month block of every node would take 2.7 MB on
+        # the first grid and 24 MB on the second
+        children = {}
+        for side in (30, 90):
+            path = tmp_path / f"g{side}.wgrd"
+            write_windgrid(corner_grid(24 * 31, side), path)
+            children[side] = rss_child(path, self.POINTS)
+        for child in children.values():
+            assert child["load_kb"] < 1024, children
+        assert abs(children[90]["growth_kb"] - children[30]["growth_kb"]) < 1024, children
 
 
 @st.composite

