@@ -4,16 +4,15 @@ validate and report subcommands over the intermediate CSV/WGRD artifacts."""
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import sys
 from pathlib import Path
 
-from . import pipeline, powerflux, synth, trends, windgrid
+from . import csvinput, pipeline, powerflux, synth, trends, windgrid
 from . import fleet as fleet_mod
 from .errors import EXIT_OK, ConfigError, DataError
 from .pipeline import PipelineError
-from .series import AnnualSeries
+from .series import AnnualSeries, dense_series
 
 log = logging.getLogger(__name__)
 
@@ -78,28 +77,18 @@ def _parse_timestamp(raw: str) -> int:
 
 
 def _read_series_csv(path) -> AnnualSeries:
-    """Read a ``year,value,unit`` series; years must be dense ascending."""
-    rows = []
-    unit = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["year", "value", "unit"]:
-            raise DataError(f"{path}: header must be year,value,unit")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}: expected 3 columns")
-            rows.append((int(row[0]), float(row[1])))
-            unit = row[2]
-    if not rows:
-        raise DataError(f"{path}: empty series")
-    rows.sort()
-    years = [y for y, _ in rows]
-    if years != list(range(years[0], years[-1] + 1)):
-        raise DataError(f"{path}: years must be dense")
-    return AnnualSeries(years[0], [v for _, v in rows], unit)
+    """Read a ``year,value,unit`` series, its years dense in any order; its
+    data errors name the file."""
+    pairs = []
+    try:
+        with csvinput.table(Path(path).read_bytes(), "series",
+                            ("year", "value", "unit")) as table:
+            for row_no, (year, value, unit) in table:  # the last row's unit
+                pairs.append((csvinput.number(int, year, "year", row_no),
+                              csvinput.number(float, value, "value", row_no)))
+        return dense_series(pairs, unit, "series")
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _write_series_csv(path, series: AnnualSeries) -> None:
@@ -167,8 +156,7 @@ def _cmd_convert_grid(args) -> int:
     t0 = _parse_timestamp(args.start_time)
     if args.step <= 0:
         raise ConfigError("step must be positive")
-    text = Path(args.csv).read_text(encoding="utf-8")
-    grid = windgrid.grid_from_csv(text, t0=t0, step=args.step)
+    grid = windgrid.grid_from_csv(Path(args.csv).read_bytes(), t0=t0, step=args.step)
     windgrid.write_windgrid(grid, args.out)
     print(f"wrote {args.out}: {grid.n_time} steps, "
           f"{len(grid.lats)}x{len(grid.lons)} cells")

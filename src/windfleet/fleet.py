@@ -14,8 +14,7 @@ view that the table builds on demand.
 
 from __future__ import annotations
 
-import csv
-import io
+import datetime
 import itertools
 import logging
 import math
@@ -25,6 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import csvinput
 from .errors import DataError
 from .series import AnnualSeries
 
@@ -41,7 +41,7 @@ _BOOLEANS = {"": False, "false": False, "f": False, "0": False, "no": False,
              "true": True, "t": True, "1": True, "yes": True}
 
 #: data rows the parser reads and checks at a time
-PARSE_BLOCK_ROWS = 1024
+PARSE_BLOCK_ROWS = csvinput.BLOCK_ROWS
 
 #: commissioning or decommissioning year standing in for a missing one:
 #: later than any year
@@ -207,60 +207,22 @@ class ScenarioSpec:
 
 
 def parse_turbine_csv(data: bytes) -> TurbineColumns:
-    """Parse a turbine registry CSV into a table.
+    """Parse a turbine registry CSV (``csvinput``'s format) into a table.
 
-    Row numbers in error messages are 1-based over data rows (the header is
-    row 0; blank lines count).  Unknown extra columns are ignored; the
-    required columns may appear in any order.  The text is decoded and read
-    ``PARSE_BLOCK_ROWS`` rows at a time, and each block is checked as arrays;
-    the first failing row raises.
+    Unknown extra columns are ignored; the required columns may appear in any
+    order.  Rows are read and checked ``PARSE_BLOCK_ROWS`` at a time, each
+    block as arrays; the first failing row raises.
     """
-    try:
-        # lines end at "\n" only, so a lone "\r" stays inside its field
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n") as text:
-            reader = csv.reader(text)
-            header = next(reader, None)
-            if header is None:
-                raise DataError("empty turbine CSV")
-            header = [h.strip() for h in header]
-            missing = [c for c in REQUIRED_COLUMNS if c not in header]
-            if missing:
-                raise DataError(f"turbine CSV missing columns: {', '.join(missing)}")
-            col = {name: header.index(name) for name in REQUIRED_COLUMNS}
-            tables, row_no = [], 1
-            while True:
-                block: list[list[str]] = []
-                try:
-                    block.extend(itertools.islice(reader, PARSE_BLOCK_ROWS))
-                except csv.Error:
-                    # extend keeps the rows read before the bad one, which
-                    # are checked first
-                    _parse_block(block, row_no, len(header), col)
-                    raise
-                if not block:
-                    break
-                table = _parse_block(block, row_no, len(header), col)
-                if table is not None:
-                    tables.append(table)
-                row_no += len(block)
-    except (DataError, UnicodeDecodeError):
-        data.decode("utf-8")  # text that does not decode fails first, at its byte offset
-        raise
+    with csvinput.table(data) as table:
+        if table.header is None:
+            raise DataError("empty turbine CSV")
+        missing = [c for c in REQUIRED_COLUMNS if c not in table.header]
+        if missing:
+            raise DataError(f"turbine CSV missing columns: {', '.join(missing)}")
+        col = {name: table.header.index(name) for name in REQUIRED_COLUMNS}
+        tables = [_parse_rows(rows, row_nos, col)
+                  for row_nos, rows in table.blocks(PARSE_BLOCK_ROWS)]
     return TurbineColumns.concat(tables) if tables else TurbineColumns.of([])
-
-
-def _parse_block(rows: list[list[str]], row_no: int, n_columns: int,
-                 col: dict[str, int]) -> TurbineColumns | None:
-    """The table of ``rows``, the first of which is row ``row_no``; None when
-    every row is blank."""
-    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-    wrong = np.flatnonzero((lengths != n_columns) & (lengths != 0))
-    end = wrong[0] if len(wrong) else len(rows)
-    at = np.flatnonzero(lengths[:end])
-    table = _parse_rows([rows[i] for i in at], row_no + at, col) if len(at) else None
-    if len(wrong):
-        raise DataError(f"expected {n_columns} columns, got {lengths[end]}, row {row_no + end}")
-    return table
 
 
 def _floats(raw: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -323,8 +285,8 @@ def _parse_rows(rows: list[list[str]], row_nos: np.ndarray,
                                len(flags)),
                    lambda i: "bad boolean is_decommissioned "
                              f"{raw['is_decommissioned'][i].strip().lower()!r}"))
-    for column in ("p_year", "d_year"):  # a year must fit the int64 year columns
-        checks.append((values[column] >= _NEVER, lambda i, c=column: f"{c} out of range"))
+    for column in ("p_year", "d_year"):  # a calendar year: missingness spans the years
+        checks.append((values[column] > datetime.MAXYEAR, lambda i, c=column: f"{c} out of range"))
 
     # the error is the first failing row's earliest failing check: a check
     # that fails on that row has it as its own first failing row

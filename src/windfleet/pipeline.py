@@ -282,8 +282,7 @@ def load_generation(path, years: range) -> powerflux.MonthlySeries:
         energy = powerflux.parse_generation_csv(Path(path).read_bytes())
         for year in years:
             for month in range(1, 13):
-                if not energy.covers(year, month):
-                    raise DataError(f"missing generation for {year}-{month:02d}")
+                energy.value(year, month)  # the first month it lacks raises
         return energy
 
 

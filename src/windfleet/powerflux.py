@@ -12,8 +12,6 @@ workers evaluate the chunks.
 from __future__ import annotations
 
 import calendar
-import csv
-import io
 import math
 import multiprocessing
 import time
@@ -23,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import csvinput
 from .errors import DataError
 from .fleet import (Fleet, TurbineColumns, TurbineRecord, operating_weights,
                     swept_areas)
@@ -420,11 +419,6 @@ class MonthlySeries:
             raise DataError(f"missing generation for {year}-{month:02d}")
         return self.values[k]
 
-    def covers(self, year: int, month: int) -> bool:
-        y0, m0 = self.start
-        k = (year - y0) * 12 + (month - m0)
-        return 0 <= k < len(self.values)
-
 
 def _next_month(y: int, m: int) -> tuple[int, int]:
     return (y + 1, 1) if m == 12 else (y, m + 1)
@@ -435,42 +429,24 @@ def parse_generation_csv(data: bytes) -> MonthlySeries:
 
     The covered span must be dense: duplicate or missing months are errors.
     """
-    reader = csv.reader(io.StringIO(data.decode("utf-8")))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["year", "month", "net_generation_mwh"]:
-        raise DataError("generation CSV header must be year,month,net_generation_mwh")
-    rows: dict[tuple[int, int], float] = {}
-    for row_no, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise DataError(f"expected 3 columns, got {len(row)}, row {row_no}")
-        try:
-            y, m, mwh = int(row[0]), int(row[1]), float(row[2])
-        except ValueError:
-            raise DataError(f"non-numeric value, row {row_no}") from None
-        if not 1 <= m <= 12:
-            raise DataError(f"month {m} outside 1..12, row {row_no}")
-        if not np.isfinite(mwh):
-            raise DataError(f"non-finite energy, row {row_no}")
-        if (y, m) in rows:
-            raise DataError(f"duplicate month {y}-{m:02d}, row {row_no}")
-        rows[(y, m)] = mwh
-    if not rows:
-        raise DataError("no generation data")
-
-    first = min(rows)
-    last = max(rows)
-    values = []
-    cur = first
-    while True:
-        if cur not in rows:
-            raise DataError(f"missing month {cur[0]}-{cur[1]:02d} inside covered span")
-        values.append(rows[cur])
-        if cur == last:
-            break
-        cur = _next_month(*cur)
-    return MonthlySeries(first, values)
+    energies: dict[int, float] = {}  # by month count, year · 12 + month − 1
+    with csvinput.table(data, "generation", ("year", "month", "net_generation_mwh")) as table:
+        for row_no, (y, m, mwh) in table:
+            y = csvinput.number(int, y, "year", row_no)
+            m = csvinput.number(int, m, "month", row_no)
+            mwh = csvinput.number(float, mwh, "energy", row_no)
+            if not 1 <= m <= 12:
+                raise DataError(f"month {m} outside 1..12, row {row_no}")
+            if not np.isfinite(mwh):
+                raise DataError(f"non-finite energy, row {row_no}")
+            if (k := y * 12 + m - 1) in energies:
+                raise DataError(f"duplicate month {y}-{m:02d}, row {row_no}")
+            energies[k] = mwh
+    months = range(min(energies), max(energies) + 1)
+    for k in months:
+        if k not in energies:
+            raise DataError(f"missing month {k // 12}-{k % 12 + 1:02d} inside covered span")
+    return MonthlySeries((months[0] // 12, months[0] % 12 + 1), [energies[k] for k in months])
 
 
 def pout_series(energy: MonthlySeries, period) -> float:
@@ -485,8 +461,6 @@ def pout_series(energy: MonthlySeries, period) -> float:
         months = [period]
     total_mwh = 0.0
     for y, m in months:
-        if not energy.covers(y, m):
-            raise DataError(f"missing generation for {y}-{m:02d}")
         total_mwh += energy.value(y, m)
     return total_mwh * 1e6 / hours_in_period(period)
 

@@ -70,3 +70,13 @@ def check_aligned(*series: AnnualSeries) -> None:
                 f"misaligned series: {s.start_year}..{s.end_year} vs "
                 f"{first.start_year}..{first.end_year}"
             )
+
+
+def dense_series(pairs: list[tuple[int, float]], unit: str, what: str) -> AnnualSeries:
+    """The series of ``(year, value)`` pairs given in any order; the years
+    must run without a gap."""
+    pairs = sorted(pairs)
+    years = [y for y, _ in pairs]
+    if years != list(range(years[0], years[-1] + 1)):
+        raise DataError(f"non-contiguous years in {what}")
+    return AnnualSeries(years[0], [v for _, v in pairs], unit)

@@ -3,17 +3,16 @@ missing-data reporting."""
 
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import csvinput
 from .errors import DataError
 from .fleet import (IMPUTABLE_FIELDS, Fleet, ScenarioSpec, TurbineColumns,
                     TurbineRecord, annual_capacity, check_commissioning_years)
-from .series import AnnualSeries, check_aligned
+from .series import AnnualSeries, check_aligned, dense_series
 
 __all__ = [
     "ScenarioSpec", "ReferenceData", "parse_reference_csv",
@@ -35,56 +34,31 @@ class ReferenceData:
     generation_gwh: AnnualSeries | None
 
 
-def _column_series(pairs: list[tuple[int, float]], unit: str, label: str) -> AnnualSeries | None:
-    if not pairs:
-        return None
-    pairs.sort()
-    years = [y for y, _ in pairs]
-    if years != list(range(years[0], years[-1] + 1)):
-        raise DataError(f"non-contiguous years in reference {label}")
-    return AnnualSeries(years[0], [v for _, v in pairs], unit)
-
-
 def parse_reference_csv(data: bytes) -> ReferenceData:
     """Parse ``year,installed_capacity_mw,generation_gwh``; either value
     column may be empty on any row, and no value may be negative."""
-    reader = csv.reader(io.StringIO(data.decode("utf-8")))
-    header = next(reader, None)
-    expected = ["year", "installed_capacity_mw", "generation_gwh"]
-    if header is None or [h.strip() for h in header] != expected:
-        raise DataError(f"reference CSV header must be {','.join(expected)}")
     seen: set[int] = set()
     capacity: list[tuple[int, float]] = []
     generation: list[tuple[int, float]] = []
-    for row_no, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise DataError(f"expected 3 columns, got {len(row)}, row {row_no}")
-        try:
-            year = int(row[0])
-        except ValueError:
-            raise DataError(f"non-numeric year, row {row_no}") from None
-        if year in seen:
-            raise DataError(f"duplicate year {year}, row {row_no}")
-        seen.add(year)
-        for raw, bucket, label in ((row[1], capacity, "capacity"),
-                                   (row[2], generation, "generation")):
-            raw = raw.strip()
-            if raw == "":
-                continue
-            try:
-                value = float(raw)
-            except ValueError:
-                raise DataError(f"non-numeric {label}, row {row_no}") from None
-            if value < 0:
-                raise DataError(f"negative {label}, row {row_no}")
-            bucket.append((year, value))
-    if not seen:
-        raise DataError("no reference data")
+    with csvinput.table(data, "reference",
+                        ("year", "installed_capacity_mw", "generation_gwh")) as table:
+        for row_no, (year, *values) in table:
+            year = csvinput.number(int, year, "year", row_no)
+            if year in seen:
+                raise DataError(f"duplicate year {year}, row {row_no}")
+            seen.add(year)
+            for raw, bucket, label in zip(values, (capacity, generation),
+                                          ("capacity", "generation")):
+                if not raw.strip():  # a blank value is a missing one
+                    continue
+                value = csvinput.number(float, raw, label, row_no)
+                if value < 0:
+                    raise DataError(f"negative {label}, row {row_no}")
+                bucket.append((year, value))
     return ReferenceData(
-        capacity_mw=_column_series(capacity, "MW", "capacity"),
-        generation_gwh=_column_series(generation, "GWh", "generation"),
+        capacity_mw=dense_series(capacity, "MW", "reference capacity") if capacity else None,
+        generation_gwh=(dense_series(generation, "GWh", "reference generation")
+                        if generation else None),
     )
 
 

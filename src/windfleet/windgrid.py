@@ -19,8 +19,8 @@ count.
 
 from __future__ import annotations
 
-import csv
 import io
+import itertools
 import math
 import os
 import struct
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import csvinput
 from .errors import DataError
 
 MAGIC = b"WGRD"
@@ -40,6 +41,8 @@ REFERENCE_HEIGHT = 100.0
 _HEADER = struct.Struct("<4s4I2q")
 #: payload values one pass over a payload holds at a time (256 KiB of f32)
 WINDOW_VALUES = 1 << 16
+#: largest finite payload value
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -336,51 +339,36 @@ def hub_height_speed(grid: WindGrid, lon: float, lat: float, t: int, h: float) -
     return speed_at_height(s100, alpha, h)
 
 
-def grid_from_csv(text: str, t0: int, step: int = 3600) -> WindGrid:
+def grid_from_csv(data: bytes | str, t0: int, step: int = 3600) -> WindGrid:
     """Build a grid from desk-scale CSV rows ``time_index,lat,lon,u10,v10,u100,v100``.
 
     Every (time, lat, lon) combination must appear exactly once and time
-    indices must run 0..n-1; anything else is a ragged grid.
+    indices must run 0..n-1; anything else is a ragged grid.  A finite wind
+    value outside the float32 range is an error naming its row.
     """
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    expected_header = ["time_index", "lat", "lon", "u10", "v10", "u100", "v100"]
-    if header is None or [h.strip() for h in header] != expected_header:
-        raise DataError(f"grid CSV header must be {','.join(expected_header)}")
-    rows = []
-    for row_no, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != 7:
-            raise DataError(f"expected 7 columns, got {len(row)}, row {row_no}")
-        try:
-            rows.append((int(row[0]), float(row[1]), float(row[2]),
-                         float(row[3]), float(row[4]), float(row[5]), float(row[6])))
-        except ValueError:
-            raise DataError(f"non-numeric value, row {row_no}") from None
-    if not rows:
-        raise DataError("no grid data rows")
-
-    times = sorted({r[0] for r in rows})
-    lats = sorted({r[1] for r in rows})
-    lons = sorted({r[2] for r in rows})
+    columns = ("time_index", "lat", "lon", *VARIABLES)
+    cells: dict[tuple[int, float, float], list[float]] = {}
+    data = data.encode("utf-8") if isinstance(data, str) else data
+    with csvinput.table(data, "grid", columns) as table:
+        for row_no, row in table:
+            t = csvinput.number(int, row[0], columns[0], row_no)
+            lat, lon, *values = [csvinput.number(float, raw, name, row_no)
+                                 for raw, name in zip(row[1:], columns[1:])]
+            for name, value in zip(VARIABLES, values):
+                if _F32_MAX < abs(value) < math.inf:
+                    raise DataError(f"{name} outside the float32 range, row {row_no}")
+            if (t, lat, lon) in cells:
+                raise DataError(f"duplicate grid cell (t={t}, lat={lat}, lon={lon}), row {row_no}")
+            cells[t, lat, lon] = values
+    times, lats, lons = (sorted({cell[k] for cell in cells}) for k in range(3))
     if times != list(range(len(times))):
         raise DataError("ragged grid: time indices must run 0..n-1")
-    lat_idx = {v: j for j, v in enumerate(lats)}
-    lon_idx = {v: i for i, v in enumerate(lons)}
-    shape = (len(times), len(lats), len(lons))
-    arrays = {name: np.zeros(shape, dtype=np.float32) for name in VARIABLES}
-    filled = np.zeros(shape, dtype=bool)
-    for t, la, lo, a, b, c, d in rows:
-        j, i = lat_idx[la], lon_idx[lo]
-        if filled[t, j, i]:
-            raise DataError(f"duplicate grid cell (t={t}, lat={la}, lon={lo})")
-        filled[t, j, i] = True
-        for name, value in zip(VARIABLES, (a, b, c, d)):
-            arrays[name][t, j, i] = value
-    if not filled.all():
-        t, j, i = np.argwhere(~filled)[0]
-        raise DataError(f"ragged grid: missing cell (t={t}, lat={lats[j]}, lon={lons[i]})")
+    order = list(itertools.product(times, lats, lons))
+    missing = next((cell for cell in order if cell not in cells), None)
+    if missing is not None:
+        raise DataError("ragged grid: missing cell (t={}, lat={}, lon={})".format(*missing))
+    payload = np.array([cells[cell] for cell in order], dtype=np.float32)
+    payload = payload.T.reshape(len(VARIABLES), len(times), len(lats), len(lons))
     return WindGrid(lons=np.asarray(lons, dtype=np.float64),
                     lats=np.asarray(lats, dtype=np.float64),
-                    t0=t0, step=step, **arrays)
+                    t0=t0, step=step, **dict(zip(VARIABLES, payload)))
