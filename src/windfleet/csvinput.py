@@ -2,8 +2,8 @@
 and series files.
 
 A file is UTF-8, decoded as it is read.  Rows end at ``\\n`` or ``\\r\\n``; a
-lone ``\\r`` outside quotes is a ``csv.Error``, as is a field over
-``csv.field_size_limit()``.  Header cells are stripped.  Data rows are
+lone ``\\r`` outside quotes is a ``DataError`` naming its row, as is a field
+over ``csv.field_size_limit()``.  Header cells are stripped.  Data rows are
 numbered from 1 (the header is row 0), and blank rows are skipped but
 counted.  A file that does not decode raises its ``UnicodeDecodeError``
 before any other error.
@@ -33,18 +33,20 @@ class Table:
         self.count = 0  # nonblank rows read so far
         self._reader = reader
 
-    def blocks(self, size: int = BLOCK_ROWS) -> Iterator[tuple[np.ndarray, list[list[str]]]]:
-        """The nonblank rows, read ``size`` rows at a time, with their row
-        numbers.  A row of another length than the header's (``expected N
-        columns, got M, row R``) or a csv error raises only after the rows
-        before it are yielded, so those are checked first."""
+    def blocks(self) -> Iterator[tuple[np.ndarray, list[list[str]]]]:
+        """The nonblank rows, read ``BLOCK_ROWS`` rows at a time, with their
+        row numbers.  A row of another length than the header's (``expected N
+        columns, got M, row R``) or a csv error (``<text>, row R``) raises
+        only after the rows before it are yielded, so those are checked
+        first."""
         n_columns, row_no = len(self.header or ()), 1
         while True:
             rows: list[list[str]] = []
             try:
-                rows.extend(itertools.islice(self._reader, size))  # keeps rows before an error
+                # extend keeps the rows read before an error
+                rows.extend(itertools.islice(self._reader, BLOCK_ROWS))
             except csv.Error as exc:
-                error = exc
+                error = _row_error(exc, row_no + len(rows))
             else:
                 error = None
                 if not rows:
@@ -79,7 +81,10 @@ def table(data: bytes, what: str = "",
     try:
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n") as text:
             reader = csv.reader(text)
-            header = next(reader, None)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise _row_error(exc, 0) from None
             header = None if header is None else [h.strip() for h in header]
             if columns is not None and header != list(columns):
                 raise DataError(f"{what} CSV header must be {','.join(columns)}")
@@ -87,9 +92,18 @@ def table(data: bytes, what: str = "",
             yield rows
             if columns is not None and not rows.count:
                 raise DataError(f"no {what} data")
-    except (DataError, csv.Error, UnicodeDecodeError):
+    except (DataError, UnicodeDecodeError):
         data.decode("utf-8")  # text that does not decode fails first, at its byte offset
         raise
+
+
+def _row_error(exc: csv.Error, row_no: int) -> DataError:
+    """A ``csv.Error`` as a data error naming its row; a lone ``\\r`` is said
+    as such, without the ``csv`` module's advice on Python file modes."""
+    text = str(exc)
+    if text.startswith("new-line character seen in unquoted field"):
+        text = "lone carriage return in an unquoted field"
+    return DataError(f"{text}, row {row_no}")
 
 
 def number(kind: type, raw: str, what: str, row_no: int):

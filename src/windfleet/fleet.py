@@ -40,9 +40,6 @@ IMPUTABLE_FIELDS = ("hub_height", "rotor_diameter", "capacity")
 _BOOLEANS = {"": False, "false": False, "f": False, "0": False, "no": False,
              "true": True, "t": True, "1": True, "yes": True}
 
-#: data rows the parser reads and checks at a time
-PARSE_BLOCK_ROWS = csvinput.BLOCK_ROWS
-
 #: commissioning or decommissioning year standing in for a missing one:
 #: later than any year
 _NEVER = np.iinfo(np.int64).max // 2
@@ -210,7 +207,7 @@ def parse_turbine_csv(data: bytes) -> TurbineColumns:
     """Parse a turbine registry CSV (``csvinput``'s format) into a table.
 
     Unknown extra columns are ignored; the required columns may appear in any
-    order.  Rows are read and checked ``PARSE_BLOCK_ROWS`` at a time, each
+    order.  Rows are read and checked ``csvinput.BLOCK_ROWS`` at a time, each
     block as arrays; the first failing row raises.
     """
     with csvinput.table(data) as table:
@@ -221,7 +218,7 @@ def parse_turbine_csv(data: bytes) -> TurbineColumns:
             raise DataError(f"turbine CSV missing columns: {', '.join(missing)}")
         col = {name: table.header.index(name) for name in REQUIRED_COLUMNS}
         tables = [_parse_rows(rows, row_nos, col)
-                  for row_nos, rows in table.blocks(PARSE_BLOCK_ROWS)]
+                  for row_nos, rows in table.blocks()]
     return TurbineColumns.concat(tables) if tables else TurbineColumns.of([])
 
 

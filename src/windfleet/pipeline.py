@@ -655,7 +655,7 @@ def emit_plots(power: PowerSeries, result: decomp.DecompositionResult, trend: Tr
         "Output power density", "year", "W/m2",
         [("output power density", years, power.output_density.values),
          ("trend", years, [fit.predict(x) for x in years])],
-        annotation=svgplot.slope_label(fit.slope), markers=True)
+        annotation=svgplot.slope_label(fit.slope))
 
     indexed = result.indexed_factors
     plots["driving_factors.svg"] = svgplot.line_chart(
@@ -663,8 +663,7 @@ def emit_plots(power: PowerSeries, result: decomp.DecompositionResult, trend: Tr
         [("turbines", years, indexed.n.values),
          ("area per turbine", years, indexed.area_per_turbine.values),
          ("input power density", years, indexed.input_density.values),
-         ("system efficiency", years, indexed.efficiency.values)],
-        markers=True)
+         ("system efficiency", years, indexed.efficiency.values)])
 
     eff_series = [("system efficiency", years, power.efficiency.values)]
     if trend.counterfactual is not None:
@@ -672,7 +671,7 @@ def emit_plots(power: PowerSeries, result: decomp.DecompositionResult, trend: Tr
                            trend.counterfactual.values))
     plots["efficiency.svg"] = svgplot.line_chart(
         "System efficiency", "year", "efficiency", eff_series,
-        annotation=svgplot.slope_label(trend.fits["efficiency"].slope), markers=True)
+        annotation=svgplot.slope_label(trend.fits["efficiency"].slope))
 
     additive = result.additive
     plots["additive_effects.svg"] = svgplot.grouped_bars(
@@ -692,17 +691,16 @@ def emit_plots(power: PowerSeries, result: decomp.DecompositionResult, trend: Tr
 
     plots["capacity_factors.svg"] = svgplot.line_chart(
         "Capacity factor", "year", "capacity factor",
-        [("capacity factor", years, power.capacity_factor.values)], markers=True)
+        [("capacity factor", years, power.capacity_factor.values)])
 
     plots["missingness.svg"] = svgplot.line_chart(
         "Share of missing meta parameters", "commissioning year", "share",
-        [(f, list(s.years), s.values) for f, s in checks.missingness.items()],
-        markers=True)
+        [(f, list(s.years), s.values) for f, s in checks.missingness.items()])
 
     rel_series = [(label, list(s.years), s.values)
                   for label, s in checks.relative_difference.items()]
     plots["relative_difference.svg"] = (
         svgplot.line_chart("Capacity: registry vs reference", "year", "%",
-                           rel_series, markers=True)
+                           rel_series)
         if rel_series else svgplot.placeholder("Capacity: registry vs reference"))
     return plots

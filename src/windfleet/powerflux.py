@@ -26,7 +26,7 @@ from .errors import DataError
 from .fleet import (Fleet, TurbineColumns, TurbineRecord, operating_weights,
                     swept_areas)
 from .series import AnnualSeries
-from .windgrid import REFERENCE_HEIGHT, WindGrid, cell_weights, stamp_blocks
+from .windgrid import REFERENCE_HEIGHT, WindGrid, cell_weights, stamp_windows
 
 #: air density, kg/m³ (constant; not configurable)
 RHO = 1.225
@@ -118,14 +118,15 @@ def _chunk_cube_sums(inputs: _PassInputs, chunk: tuple[int, int]) -> tuple[np.nd
     def view(buf: np.ndarray, *shape: int) -> np.ndarray:
         return buf[:math.prod(shape)].reshape(shape)
 
-    with stamp_blocks(inputs.grid, nodes) as fill:
+    with stamp_windows(inputs.grid) as windows:
         for col in range(len(edges) - 1):
             k0, k1 = edges[col], edges[col + 1]
             x = view(values, k1 - k0, m)
             u, v, q10, q100, cube = (view(buf, n, k1 - k0) for buf in work)
             for q, names in ((q10, ("u10", "v10")), (q100, ("u100", "v100"))):
                 for y, name in zip((u, v), names):
-                    fill(name, k0, k1, x)
+                    for s, window in windows(name, k0, k1):
+                        x[s - k0:s - k0 + len(window)] = window.take(nodes, axis=1)
                     np.square(np.matmul(weights, x.T, out=y), out=y)
                 np.add(u, v, out=q)
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -112,8 +112,8 @@ def placeholder(title: str) -> str:
 
 def line_chart(title: str, xlabel: str, ylabel: str,
                series: list[tuple[str, list[float], list[float]]],
-               annotation: str = "", markers: bool = False) -> str:
-    """Polyline chart; ``series`` is a list of (label, xs, ys)."""
+               annotation: str = "") -> str:
+    """Polyline chart, a marker at each point; ``series`` is a list of (label, xs, ys)."""
     series = [s for s in series if len(s[1]) > 0]
     if not series:
         return placeholder(title)
@@ -125,10 +125,9 @@ def line_chart(title: str, xlabel: str, ylabel: str,
         color = PALETTE[i % len(PALETTE)]
         pts = " ".join(f"{_fmt(frame.px(x))},{_fmt(frame.py(y))}" for x, y in zip(xs, ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        if markers:
-            for x, y in zip(xs, ys):
-                parts.append(f'<circle cx="{_fmt(frame.px(x))}" cy="{_fmt(frame.py(y))}" '
-                             f'r="2.5" fill="{color}"/>')
+        for x, y in zip(xs, ys):
+            parts.append(f'<circle cx="{_fmt(frame.px(x))}" cy="{_fmt(frame.py(y))}" '
+                         f'r="2.5" fill="{color}"/>')
     parts += _legend([s[0] for s in series])
     if annotation:
         parts.append(f'<text x="{MARGIN_L + 8}" y="{MARGIN_T + 14}" '

@@ -7,14 +7,14 @@ axes, then four f32 payload arrays ``u10, v10, u100, v100`` laid out
 [time][lat][lon] row-major.  Payload is stored as 32-bit floats; all
 arithmetic on it is done in 64-bit.
 
-Every pass that reads a payload goes through one window of
-``WINDOW_VALUES`` values: ``load_windgrid``'s check, the finite check of
-``WindGrid.validate`` and the kernel's positioned reads in ``stamp_blocks``,
-which read at most ``max(1, WINDOW_VALUES // grid nodes)`` stamps at a time.  A
-loaded payload stays on disk, mapped read-only, so a report holds the
-interpreter, numpy and its BLAS, the window and one turbine chunk's work
-arrays: its memory grows neither with the file size nor with the grid's node
-count.
+Every pass over a payload reads it through one generator, ``stamp_windows``,
+in windows of at most ``max(1, WINDOW_VALUES // grid nodes)`` whole stamps:
+the finite check of ``WindGrid.validate`` (which ``load_windgrid`` runs) and
+the kernel pass.  An in-memory grid's windows are views; a file's are
+positioned reads into one reused buffer.  A loaded payload stays on disk,
+mapped read-only, so a report holds the interpreter, numpy and its BLAS, the
+window and one turbine chunk's work arrays: its memory grows neither with the
+file size nor with the grid's node count.
 """
 
 from __future__ import annotations
@@ -104,7 +104,10 @@ class WindGrid:
             arr = self.variable(name)
             if arr.shape != shape:
                 raise DataError(f"variable {name} has shape {arr.shape}, expected {shape}")
-            _check_finite(name, arr)
+        with stamp_windows(self) as windows:
+            for name in VARIABLES:
+                if not all(np.isfinite(window).all() for _, window in windows(name)):
+                    raise DataError(f"variable {name} contains non-finite values")
 
 
 def _check_layout(step: int, n_time: int, lats: np.ndarray, lons: np.ndarray) -> None:
@@ -119,13 +122,6 @@ def _check_layout(step: int, n_time: int, lats: np.ndarray, lons: np.ndarray) ->
             raise DataError(f"{name} axis must be strictly ascending")
     if n_time < 1:
         raise DataError("grid must contain at least one time step")
-
-
-def _check_finite(name: str, values: np.ndarray) -> None:
-    flat = values.reshape(-1)
-    for start in range(0, flat.size, WINDOW_VALUES):
-        if not np.isfinite(flat[start:start + WINDOW_VALUES]).all():
-            raise DataError(f"variable {name} contains non-finite values")
 
 
 def _write_grid(grid: WindGrid, fh) -> None:
@@ -188,8 +184,9 @@ def load_windgrid(path) -> WindGrid:
     maps of its payload.
 
     The header, the size and the axes are checked as in ``grid_from_bytes``;
-    the payload is read once, one window at a time into one reused buffer,
-    and every value must be finite.  Nothing of the payload stays in memory.
+    then ``WindGrid.validate`` reads the payload once through
+    ``stamp_windows`` and every value must be finite.  Nothing of the
+    payload stays in memory.
     """
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
@@ -198,20 +195,14 @@ def load_windgrid(path) -> WindGrid:
         lats, lons = axes[:n_lat], axes[n_lat:]
         _check_layout(step, n_time, lats, lons)
         offset = fh.tell()
-        n_cells = n_time * n_lat * n_lon
-        buf = np.empty(min(n_cells, WINDOW_VALUES), dtype="<f4")
-        for name in VARIABLES:
-            for start in range(0, n_cells, len(buf)):
-                part = buf[:min(len(buf), n_cells - start)]
-                if fh.readinto(part) != part.nbytes:
-                    raise DataError(f"WGRD file {path} shrank while it was read")
-                _check_finite(name, part)
         payload = np.memmap(fh, dtype="<f4", mode="r", offset=offset,
                             shape=(len(VARIABLES), n_time, n_lat, n_lon))
     source = GridFile(os.path.abspath(path), offset, st.st_size, st.st_mtime_ns,
                       st.st_dev, st.st_ino)
-    return WindGrid(lons=lons, lats=lats, t0=t0, step=step, source=source,
+    grid = WindGrid(lons=lons, lats=lats, t0=t0, step=step, source=source,
                     **dict(zip(VARIABLES, payload)))
+    grid.validate()
+    return grid
 
 
 def _pread_into(fd: int, out: np.ndarray, offset: int) -> None:
@@ -224,42 +215,39 @@ def _pread_into(fd: int, out: np.ndarray, offset: int) -> None:
 
 
 @contextmanager
-def stamp_blocks(grid: WindGrid, nodes: np.ndarray):
-    """Yield ``fill(name, k0, k1, out)``: put stamps [k0, k1) of one variable
-    at the flat nodes ``nodes`` (lat·n_lon + lon) into ``out``, a
-    [k1 - k0, len(nodes)] f64 array.
+def stamp_windows(grid: WindGrid):
+    """Yield ``windows(name, k0=0, k1=n_time)``, a generator of
+    ``(s, window)`` over stamps [k0, k1) of one variable: ``window`` holds
+    stamps [s, s + len(window)) as a [stamps × nodes] f32 array, nodes flat
+    (lat·n_lon + lon), at most ``max(1, WINDOW_VALUES // nodes)`` stamps.
 
-    An in-memory grid is sliced.  A file-backed grid is read in positioned
-    reads of at most ``max(1, WINDOW_VALUES // grid nodes)`` whole stamps
-    into one reused buffer, and ``nodes`` are taken from each read, so no
-    buffer grows with the grid's node count beyond one stamp.  The file is opened once and
-    must still be the file that ``load_windgrid`` validated.
+    An in-memory grid yields views of its arrays.  A file-backed grid is read
+    in positioned reads into one reused buffer, so each window is valid
+    until the next; the file is opened once, and must still be the file that
+    ``load_windgrid`` validated.
     """
     n_nodes = len(grid.lats) * len(grid.lons)
-    if grid.source is None:
-        def fill(name: str, k0: int, k1: int, out: np.ndarray) -> None:
-            values = grid.variable(name)[k0:k1].reshape(k1 - k0, n_nodes)
-            out[...] = values.take(nodes, axis=1)
-
-        yield fill
-        return
     span = max(1, WINDOW_VALUES // n_nodes)
-    buf = np.empty(span * n_nodes, dtype="<f4")
-    stamp_bytes = buf.itemsize * n_nodes
-    fd = grid.source.open()
+    buf = None if grid.source is None else np.empty(span * n_nodes, dtype="<f4")
+    fd = None if grid.source is None else grid.source.open()
 
-    def fill(name: str, k0: int, k1: int, out: np.ndarray) -> None:
+    def windows(name: str, k0: int = 0, k1: int = grid.n_time):
         first = VARIABLES.index(name) * grid.n_time
         for s in range(k0, k1, span):
             e = min(s + span, k1)
-            block = buf[:(e - s) * n_nodes].reshape(e - s, n_nodes)
-            _pread_into(fd, block, grid.source.offset + (first + s) * stamp_bytes)
-            out[s - k0:e - k0] = block.take(nodes, axis=1)
+            if fd is None:
+                window = grid.variable(name)[s:e].reshape(e - s, n_nodes)
+            else:
+                window = buf[:(e - s) * n_nodes].reshape(e - s, n_nodes)
+                _pread_into(fd, window,
+                            grid.source.offset + (first + s) * n_nodes * buf.itemsize)
+            yield s, window
 
     try:
-        yield fill
+        yield windows
     finally:
-        os.close(fd)
+        if fd is not None:
+            os.close(fd)
 
 
 def _axis_cell(axis: np.ndarray, x: float, name: str) -> tuple[int, int, float]:

@@ -585,7 +585,7 @@ class TestOversizedCsvField:
         code = main(["decompose", "--n", str(good), "--area", str(good), "--pin", str(bad),
                      "--pout", str(good), "--out", str(out)])
         assert code == 3
-        assert capsys.readouterr().err.startswith("data: field larger than field limit")
+        assert capsys.readouterr().err.startswith(f"data: {bad}: field larger than field limit")
         assert not out.exists()
 
 

@@ -97,13 +97,13 @@ def set_field(row, k, value):
 #: given the header's column count)
 CASES = {
     "lone_cr": (lambda row, k: row[:1] + "\r" + row[1:],
-                lambda n: "new-line character seen in unquoted field"),
+                lambda n: "lone carriage return in an unquoted field, row 1$"),
     "columns": (lambda row, k: row + ",1",
                 lambda n: f"expected {n} columns, got {n + 1}, row 1$"),
     "non_number": (lambda row, k: set_field(row, k, "abc"),
                    lambda n: r"non-numeric \w+( 'abc')?, row 1$"),
     "huge_field": (lambda row, k: set_field(row, 0, "9" * 140_000),
-                   lambda n: r"field larger than field limit \(\d+\)$"),
+                   lambda n: r"field larger than field limit \(\d+\), row 1$"),
 }
 
 
@@ -121,7 +121,7 @@ class TestSharedRules:
         assert code == 3
         assert err.startswith(f"{prefix}: ") and err.count("\n") == 1
         assert re.search(pattern(len(header.split(","))), err.rstrip("\n")), err
-        if name == "series" and case in ("columns", "non_number"):  # not the csv errors
+        if name == "series":
             assert err.startswith(f"data: {bad}: ")
         assert not out.exists()
 
@@ -130,10 +130,11 @@ class TestSharedRules:
         ("year,value,unit\n2010,1.0,W\n\n2011,2.0\n", "expected 3 columns, got 2, row 3"),
         ("year,value,unit\n2010,1.0,W\n\n,2.0,W\n", "non-numeric year, row 3"),
         ("year,value,unit\n2010,1.0,W\n2012,2.0,W\n", "non-contiguous years in series"),
-        ("year,value,unit\n\n", "no series data")],
-        ids=["non_number", "columns", "blank_field", "gap", "no_rows"])
+        ("year,value,unit\n\n", "no series data"),
+        ("year,va\rlue,unit\n2010,1.0,W\n", "lone carriage return in an unquoted field, row 0")],
+        ids=["non_number", "columns", "blank_field", "gap", "no_rows", "header_cr"])
     def test_series_errors_name_file_and_row(self, bundle, tmp_path, text, message):
-        """Blank rows count; a blank field is not a number."""
+        """Blank rows count; a blank field is not a number; the header is row 0."""
         bad = tmp_path / "series.csv"
         bad.write_text(text, encoding="utf-8")
         out = tmp_path / "d.json"

@@ -244,8 +244,8 @@ class TestFileBackedPass:
 
 
 class TestWindowedReads:
-    """The pass reads a file in windows of whole stamps, never more than
-    ``WINDOW_VALUES`` values unless one stamp is larger."""
+    """The load and the pass read a file in windows of whole stamps, never
+    more than ``WINDOW_VALUES`` values unless one stamp is larger."""
 
     @pytest.mark.parametrize("window, largest", [(60, 5 * 12), (7, 12)],
                              ids=["five_stamps", "one_stamp"])
@@ -260,18 +260,29 @@ class TestWindowedReads:
         pread_into = windgrid._pread_into
 
         def recording(fd, out, offset):
-            reads.append(out.size)
+            reads.append((offset, out.size))
             pread_into(fd, out, offset)
 
         monkeypatch.setattr(windgrid, "WINDOW_VALUES", window)
         monkeypatch.setattr(windgrid, "_pread_into", recording)
-        disk = cube_sums(load_windgrid(path), recs, ["hub", 76.0], span)
+        loaded = load_windgrid(path)
+        # the load's finite check reads every payload value exactly once, in
+        # file order
+        payload = 4 * grid.n_time * 12
+        assert max(size for _, size in reads) == largest
+        position = loaded.source.offset
+        for offset, size in reads:
+            assert offset == position
+            position += 4 * size
+        assert position == loaded.source.offset + 4 * payload
+        reads.clear()
+        disk = cube_sums(loaded, recs, ["hub", 76.0], span)
         assert np.array_equal(disk.sums, memory.sums)
         assert disk.calm_hours == memory.calm_hours
         # 150 turbines make 3 chunks; each reads every stamp of the four
         # variables at the 12 nodes once
-        assert max(reads) == largest
-        assert sum(reads) == 3 * 4 * grid.n_time * 12
+        assert max(size for _, size in reads) == largest
+        assert sum(size for _, size in reads) == 3 * payload
 
 
 _RSS_CHILD = """

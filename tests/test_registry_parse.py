@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from windfleet import fleet
+from windfleet import csvinput
 from windfleet.errors import DataError
 from windfleet.fleet import (REQUIRED_COLUMNS, TurbineRecord, parse_turbine_csv,
                              preprocess)
@@ -56,6 +56,24 @@ def _parse_bool(raw, column, row_no):
     raise DataError(f"bad boolean {column} {raw!r}, row {row_no}")
 
 
+def numbered(reader):
+    """``(row number, row)`` from 1; a csv error is a ``DataError`` naming
+    the row it stopped at."""
+    row_no = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            text = str(exc)
+            if text.startswith("new-line character seen in unquoted field"):
+                text = "lone carriage return in an unquoted field"
+            raise DataError(f"{text}, row {row_no}") from None
+        yield row_no, row
+        row_no += 1
+
+
 def reference_parse(data):
     """One record per data row, each row checked field by field."""
     reader = csv.reader(io.StringIO(data.decode("utf-8")))
@@ -69,7 +87,7 @@ def reference_parse(data):
     col = {name: header.index(name) for name in REQUIRED_COLUMNS}
 
     records = []
-    for row_no, row in enumerate(reader, start=1):
+    for row_no, row in numbered(reader):
         if not row:
             continue
         if len(row) != len(header):
@@ -109,7 +127,7 @@ def outcome(parse, data):
     """The records ``parse`` returns, or the type and text of its error."""
     try:
         return list(parse(data))
-    except (DataError, csv.Error) as exc:
+    except DataError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -189,12 +207,15 @@ class TestParseEquivalence:
     @given(registries(), st.integers(1, 5))
     @example(data=b"case_id,xlong,ylat,p_year,t_hh,t_rd,t_cap,is_decommissioned,d_year,note\n"
                   b"T0,0.0,0.0,1980,1.0,1.0,1.0,,1980,\r\n", block_rows=1)
+    @example(data=b"case_id,xlong,ylat,p_year,t_hh,t_rd,t_cap,is_decommissioned,d_year\n"
+                  b"T0,0.0,0.0,1980,1.0,1.0,1.0,,\n\nT1,0.0,\r0.0,1980,1.0,1.0,1.0,,\n",
+             block_rows=2)
     def test_equal_records_or_identical_error(self, data, block_rows):
         """At block sizes 1-5 a dozen rows span block boundaries on both
-        sides of every bad value.  A lone "\r" in an unquoted field is a
-        csv error for both, not a line end."""
+        sides of every bad value.  A lone "\r" in an unquoted field is an
+        error naming its row for both, not a line end."""
         want = outcome(reference_parse, data)
-        with mock.patch.object(fleet, "PARSE_BLOCK_ROWS", block_rows):
+        with mock.patch.object(csvinput, "BLOCK_ROWS", block_rows):
             assert outcome(parse_turbine_csv, data) == want
 
     def test_len_counts_data_rows(self):
@@ -231,9 +252,9 @@ class TestBlockBoundary:
     @pytest.mark.parametrize("column,value,message", BAD_FIELDS)
     @pytest.mark.parametrize("offset", [0, 1])
     def test_bad_field_each_side_of_a_block(self, column, value, message, offset):
-        """Row ``PARSE_BLOCK_ROWS`` ends the first block, the next row starts
-        the second; the error names the row either way."""
-        row_no = fleet.PARSE_BLOCK_ROWS + offset
+        """Row ``BLOCK_ROWS`` ends the first block, the next row starts the
+        second; the error names the row either way."""
+        row_no = csvinput.BLOCK_ROWS + offset
         good = {"case_id": "T", "xlong": "-97.5", "ylat": "37.25", "p_year": "2010",
                 "t_hh": "80", "t_rd": "100", "t_cap": "2000", "is_decommissioned": "false",
                 "d_year": ""}
@@ -275,7 +296,8 @@ class TestErrorPrecedence:
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("first, expected", [
-        ("-80", "non-positive t_hh, row 1"), ("80", "field larger than field limit")])
+        ("-80", "non-positive t_hh, row 1"),
+        ("80", r"field larger than field limit \(\d+\), row 2$")])
     def test_csv_error_after_rows_of_its_block(self, first, expected):
         """A field over the csv module's limit stops the reader: rows before
         it in the same block are checked first."""
@@ -283,7 +305,7 @@ class TestErrorPrecedence:
                 self.ROW.format(2).replace("T2", "T" + "2" * (csv.field_size_limit() + 1))]
         data = self.registry(*rows)
         for parse in (reference_parse, parse_turbine_csv):
-            with pytest.raises((DataError, csv.Error), match=expected):
+            with pytest.raises(DataError, match=expected):
                 parse(data)
 
 

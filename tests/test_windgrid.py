@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +91,25 @@ class TestWgrdFormat:
         path.write_bytes(bytes(data))
         with pytest.raises(DataError, match="variable u100 contains non-finite"):
             load_windgrid(path)
+
+    def test_nan_in_last_window_of_memory_grid(self, monkeypatch):
+        """The finite check reads an in-memory grid through the same windows:
+        a NaN in the last stamp of v100 is found in a window of one stamp."""
+        monkeypatch.setattr(windgrid, "WINDOW_VALUES", 3)
+        grid = small_grid()
+        grid.validate()
+        grid.v100[-1, -1, -1] = np.nan
+        with pytest.raises(DataError, match="variable v100 contains non-finite"):
+            grid.validate()
+
+    def test_one_payload_read_site(self):
+        """Every read of a WGRD payload goes through ``stamp_windows``: one
+        ``_pread_into`` call site and no ``readinto``."""
+        lines = Path(windgrid.__file__).read_text(encoding="utf-8").splitlines()
+        calls = [line for line in lines
+                 if "_pread_into(" in line and not line.startswith("def ")]
+        assert len(calls) == 1, calls
+        assert not any("readinto" in line for line in lines)
 
     def test_loaded_payload_stays_on_disk(self, tmp_path):
         path = tmp_path / "g.wgrd"
