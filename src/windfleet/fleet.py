@@ -529,10 +529,3 @@ def annual_capacity(fleet: Fleet, years: range,
     kw = np.where(dropped, 0.0, cap)
     return AnnualSeries(ys[0], [total / 1000.0 for total in
                                 _weighted_series(fleet, ys, scenario, kw)], "MW")
-
-
-def specific_power(capacity: float, area: float) -> float:
-    """Nameplate capacity (W) per unit rotor swept area (m²)."""
-    if area <= 0:
-        raise ValueError("area must be positive")
-    return capacity / area

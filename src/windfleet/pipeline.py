@@ -3,7 +3,9 @@
 ``run_pipeline`` chains one typed stage function per concern, each mapping
 its errors to an exit code through ``stage``; the subcommands call the same
 stages, table writer and serializers.  ``RunConfig``'s fields are the config
-schema of the config file and the ``report`` flags.
+schema of the config file and the ``report`` flags.  Each report ratio is
+formed once: the decomposition forms input density and efficiency, and
+``power_stage`` the output density, capacity factor and specific power.
 Outputs are staged in a scratch directory and only moved into the output
 directory when the whole run succeeded, so a failed run leaves no partial
 bundle behind.  Reports contain no timestamps or execution parameters:
@@ -71,7 +73,7 @@ def stage(name: str | None):
         raise PipelineError(name or "config", str(exc), EXIT_CONFIG) from exc
     except InvariantError as exc:
         raise PipelineError(name or "internal", str(exc), EXIT_INTERNAL) from exc
-    except (DataError, ValueError, OSError, csv.Error) as exc:
+    except (DataError, ValueError, OSError) as exc:
         raise PipelineError(name or "data", str(exc), EXIT_DATA) from exc
 
 
@@ -316,25 +318,29 @@ class FleetSeries:
 
 
 def fleet_stage(config: RunConfig) -> FleetSeries:
+    """The fleet's series.  A study year with no operating turbine fails here,
+    before the grid is read, so every study year's area and capacity are positive."""
     with stage("fleet"):
         fleet = load_fleet(config.turbines, config.extension, config.exclusions)
         log.info("fleet: %d turbines (%s dropped)", len(fleet.turbines), fleet.provenance)
-        return FleetSeries(fleet, fleet_mod.annual_counts(fleet, config.years),
-                           fleet_mod.annual_swept_area(fleet, config.years),
+        n = fleet_mod.annual_counts(fleet, config.years)
+        for year, count in n.items():
+            if count == 0:
+                raise DataError(f"no operating turbines in {year}")
+        return FleetSeries(fleet, n, fleet_mod.annual_swept_area(fleet, config.years),
                            fleet_mod.annual_capacity(fleet, config.years))
 
 
 @dataclass
 class PowerSeries:
-    """Input and output power of the study years, the ratios derived from
-    them, and output, input, efficiency and density per calendar month."""
+    """Input and output power of the study years, the annual ratios the
+    decomposition does not form, and output, input, efficiency and density
+    per calendar month."""
 
     #: every P_in series and the calm-hour count, from one kernel pass
     pin: powerflux.ReportPin
     p_out: AnnualSeries
-    input_density: AnnualSeries
     output_density: AnnualSeries
-    efficiency: AnnualSeries
     capacity_factor: AnnualSeries
     specific_power: AnnualSeries
     #: per calendar month of the study years, in time order
@@ -346,7 +352,7 @@ class PowerSeries:
 def power_stage(config: RunConfig, fleet: FleetSeries,
                 energy: powerflux.MonthlySeries) -> PowerSeries:
     """P_in from one kernel pass over the grid, P_out from ``load_generation``'s
-    series."""
+    series; ``fleet_stage`` has made every area and capacity positive."""
     years = config.years
     with stage("windgrid"):
         grid = windgrid.load_windgrid(config.windgrid)
@@ -356,32 +362,28 @@ def power_stage(config: RunConfig, fleet: FleetSeries,
     with stage("powerflux"):
         pins = powerflux.report_pin(grid, fleet.fleet, years, config.reference_height,
                                     config.workers)
-        p_in = pins.annual
-        p_out = AnnualSeries(years.start, [powerflux.pout_series(energy, y) for y in years],
-                             "W")
+        p_out = [powerflux.pout_series(energy, y) for y in years]
         area = fleet.area.values
         capacity_w = [cap * 1e6 for cap in fleet.capacity.values]
         monthly_p_out = [powerflux.pout_series(energy, (y, m))
                          for y in years for m in range(1, 13)]
 
-        def annual(ratio, xs, ys, unit):
-            return AnnualSeries(years.start, [ratio(x, y) for x, y in zip(xs, ys)], unit)
+        def annual(values, unit):
+            return AnnualSeries(years.start, values, unit)
 
+        # A year's efficiency (the decomposition's P_out/P_in) is its months'
+        # efficiencies weighted by their input energy, so a year over the Betz
+        # limit has a month over it, up to rounding, and that month warns.
         return PowerSeries(
-            pin=pins, p_out=p_out,
-            input_density=annual(powerflux.input_power_density, p_in.values, area, "W/m²"),
-            output_density=annual(powerflux.output_power_density, p_out.values, area,
-                                  "W/m²"),
-            efficiency=annual(powerflux.system_efficiency, p_out.values, p_in.values,
-                              "dimensionless"),
-            capacity_factor=annual(powerflux.capacity_factor, p_out.values, capacity_w,
+            pin=pins, p_out=annual(p_out, "W"),
+            output_density=annual([po / a for po, a in zip(p_out, area)], "W/m²"),
+            capacity_factor=annual([po / c for po, c in zip(p_out, capacity_w)],
                                    "dimensionless"),
-            specific_power=annual(fleet_mod.specific_power, capacity_w, area, "W/m²"),
+            specific_power=annual([c / a for c, a in zip(capacity_w, area)], "W/m²"),
             monthly_p_out=monthly_p_out,
             monthly_efficiency=[powerflux.system_efficiency(po, pi)
                                 for po, pi in zip(monthly_p_out, pins.monthly)],
-            monthly_density=[powerflux.input_power_density(pi, area[k // 12])
-                             for k, pi in enumerate(pins.monthly)])
+            monthly_density=[pi / area[k // 12] for k, pi in enumerate(pins.monthly)])
 
 
 def decomposition_stage(n: AnnualSeries, area: AnnualSeries, p_in: AnnualSeries,
@@ -416,18 +418,19 @@ class TrendResult:
     monthly_correlation: float | None
 
 
-def trends_stage(power: PowerSeries) -> TrendResult:
+def trends_stage(power: PowerSeries, factors: decomp.FactorSeries) -> TrendResult:
+    """Trends of output density and the decomposition's density and efficiency."""
     with stage("trends"):
-        years = list(power.efficiency.years)
+        years = list(factors.efficiency.years)
         fits = {
             "output_power_density": trends.ols_fit(years, power.output_density.values),
-            "input_power_density": trends.ols_fit(years, power.input_density.values),
-            "efficiency": trends.ols_fit(years, power.efficiency.values),
+            "input_power_density": trends.ols_fit(years, factors.input_density.values),
+            "efficiency": trends.ols_fit(years, factors.efficiency.values),
         }
         counterfactual, fallbacks = None, 0
         if len(years) >= 3:
             counterfactual, fallback = trends.counterfactual_efficiency(
-                power.efficiency, power.input_density)
+                factors.efficiency, factors.input_density)
             fallbacks = int(fallback)
             fits["counterfactual_efficiency"] = trends.ols_fit(years, counterfactual.values)
         try:
@@ -472,7 +475,7 @@ def run_pipeline(config: RunConfig) -> ReportBundle:
     result = decomposition_stage(fleet.n, fleet.area, power.pin.annual, power.p_out,
                                  config.base_year, power.pin.annual_avg,
                                  power.pin.annual_ref_avg)
-    trend = trends_stage(power)
+    trend = trends_stage(power, result.factors)
     checks = validation_stage(fleet.fleet, config.years, config.scenarios, reference)
     return write_stage(config, fleet, power, result, trend, checks)
 
@@ -530,9 +533,9 @@ def write_stage(config: RunConfig, fleet: FleetSeries, power: PowerSeries,
         "p_in_avg_w": power.pin.annual_avg,
         "p_in_ref_avg_w": power.pin.annual_ref_avg,
         "p_out_w": power.p_out,
-        "input_power_density_w_m2": power.input_density,
+        "input_power_density_w_m2": result.factors.input_density,
         "output_power_density_w_m2": power.output_density,
-        "efficiency": power.efficiency,
+        "efficiency": result.factors.efficiency,
         "capacity_factor": power.capacity_factor,
         "specific_power_w_m2": power.specific_power,
         "counterfactual_efficiency": trend.counterfactual,
@@ -665,7 +668,7 @@ def emit_plots(power: PowerSeries, result: decomp.DecompositionResult, trend: Tr
          ("input power density", years, indexed.input_density.values),
          ("system efficiency", years, indexed.efficiency.values)])
 
-    eff_series = [("system efficiency", years, power.efficiency.values)]
+    eff_series = [("system efficiency", years, result.factors.efficiency.values)]
     if trend.counterfactual is not None:
         eff_series.append(("constant-density counterfactual", years,
                            trend.counterfactual.values))

@@ -7,6 +7,9 @@ input power series is then a weighted reduction of those sums.  The pass runs
 over a fixed partition of the fleet into chunks and the reductions are
 correctly rounded, so results are bit-identical regardless of how many
 workers evaluate the chunks.
+
+A report's annual ratios are formed in ``decomp`` and ``pipeline.power_stage``;
+``system_efficiency`` forms the monthly efficiencies and raises the Betz warning.
 """
 
 from __future__ import annotations
@@ -466,20 +469,6 @@ def pout_series(energy: MonthlySeries, period) -> float:
     return total_mwh * 1e6 / hours_in_period(period)
 
 
-def input_power_density(p_in: float, area: float) -> float:
-    """Kinetic input power per unit rotor swept area, W/m²."""
-    if area <= 0:
-        raise ValueError("area must be positive")
-    return p_in / area
-
-
-def output_power_density(p_out: float, area: float) -> float:
-    """Generated power per unit rotor swept area, W/m²."""
-    if area <= 0:
-        raise ValueError("area must be positive")
-    return p_out / area
-
-
 def system_efficiency(p_out: float, p_in: float) -> float:
     """Share of kinetic input power converted to electricity.
 
@@ -494,10 +483,3 @@ def system_efficiency(p_out: float, p_in: float) -> float:
             f"system efficiency {ratio:.4f} exceeds the Betz limit {BETZ_LIMIT:.4f}; "
             "input data are likely inconsistent", BetzLimitWarning, stacklevel=2)
     return ratio
-
-
-def capacity_factor(p_out: float, capacity: float) -> float:
-    """Average output power relative to installed capacity."""
-    if capacity <= 0:
-        raise ValueError("capacity must be positive")
-    return p_out / capacity

@@ -1,9 +1,11 @@
+import json
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from windfleet.cli import main
 from windfleet.fleet import Fleet, ImputationReport, TurbineRecord
 from windfleet.windgrid import WindGrid
 
@@ -93,3 +95,22 @@ def grid_from_field(u10, v10, u100, v100, lons, lats, t0=1262304000, step=3600):
 def hours_2010():
     """Unix timestamp of 2010-01-01T00:00Z (grid epoch used in most tests)."""
     return 1262304000
+
+
+def report_json(bundle, out, *flags):
+    """Run ``report`` on a synth bundle's run.conf; the parsed report.json."""
+    assert main(["report", "--config", str(bundle / "run.conf"), "--out", str(out),
+                 *flags]) == 0
+    return json.loads((out / "report.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="session")
+def synth_report(tmp_path_factory):
+    """report.json of a small synth bundle: 12 turbines over 2010-2012 with
+    hub-height, rotor and efficiency trends."""
+    path = tmp_path_factory.mktemp("synth_report")
+    assert main(["synth", "--out", str(path / "bundle"), "--n-turbines", "12",
+                 "--years", "2010:2012", "--wind", "sinusoidal:8,2,720",
+                 "--hub", "80,2", "--rotor", "100,3", "--efficiency", "0.3,-0.003",
+                 "--seed", "9"]) == 0
+    return report_json(path / "bundle", path / "out")

@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 import os
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 import windfleet
-from windfleet import fleet, pipeline, powerflux, validate
+from windfleet import fleet, pipeline, powerflux, validate, windgrid
 from windfleet.windgrid import VARIABLES, WindGrid, grid_to_bytes, load_windgrid
 from windfleet.cli import build_parser, main
 from windfleet.pipeline import (CONFIG_KEYS, PipelineError, load_config_file,
@@ -237,6 +236,22 @@ class TestReportCommand:
                                              "--base-year", "2011"])
         assert code == 2
         assert "at least two years" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_study_year_without_turbines_fails_before_grid(self, fixture_dir, tmp_path,
+                                                           monkeypatch, capsys):
+        header, *rows = [row.split(",") for row in
+                         (fixture_dir / "turbines.csv").read_text().splitlines()]
+        year = header.index("p_year")
+        exclusions = tmp_path / "exclusions.txt"
+        exclusions.write_text("".join(row[0] + "\n" for row in rows if row[year] == "2010"))
+        calls = []
+        for module, name in ((windgrid, "load_windgrid"), (powerflux, "_map_chunks")):
+            monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
+        out = tmp_path / "out"
+        assert run_report(fixture_dir, out, ["--exclusions", str(exclusions)]) == 3
+        assert capsys.readouterr().err == "fleet: no operating turbines in 2010\n"
+        assert calls == []
         assert not out.exists()
 
     def test_one_kernel_pass_per_report(self, fixture_dir, tmp_path, monkeypatch):
@@ -753,8 +768,6 @@ class TestExitPolicy:
         (ValueError("bad number"), 3, "data", "bad number"),
         (OSError("disk full"), 3, "data", "disk full"),
         (InvariantError("broken"), 4, "internal", "broken"),
-        (csv.Error("field larger than field limit (131072)"), 3, "data",
-         "field larger than field limit (131072)"),
     ])
     @pytest.mark.parametrize("name", ["fleet", None])
     def test_stage(self, name, error, code, kind, message):

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import fleet_of, turbine
+from conftest import fleet_of, report_json, turbine
+from windfleet.cli import main
 from windfleet.errors import DataError
 from windfleet.fleet import (IMPUTABLE_FIELDS, ScenarioSpec, annual_capacity,
                              annual_counts, annual_swept_area, impute_missing,
                              merge_extension, operating_weight,
                              operating_weights, parse_exclusion_ids,
-                             parse_turbine_csv, preprocess, rotor_swept_area,
-                             specific_power)
+                             parse_turbine_csv, preprocess, rotor_swept_area)
+from windfleet.pipeline import PipelineError, RunConfig, fleet_stage
 from windfleet.validate import missingness_report
 
 HEADER = "case_id,xlong,ylat,p_year,t_hh,t_rd,t_cap,is_decommissioned,d_year"
@@ -349,17 +350,36 @@ class TestAnnualCapacity:
 
 
 class TestSpecificPower:
-    def test_worked_example(self):
-        assert specific_power(2_000_000.0, 7853.98) == pytest.approx(254.65, abs=0.01)
-        assert specific_power(2_000_000.0, 7853.98) == pytest.approx(
-            254.64796192503675, rel=1e-12)
+    """The report's specific power: capacity (W) per swept area of its fleet."""
 
-    def test_zero_capacity(self):
-        assert specific_power(0.0, 123.0) == 0.0
+    def test_worked_example(self, tmp_path):
+        # one 2 MW turbine with a 100 m rotor, 7,853.98 m²
+        bundle = tmp_path / "bundle"
+        assert main(["synth", "--out", str(bundle), "--n-turbines", "1",
+                     "--years", "2010:2011", "--rotor", "100,0", "--seed", "3"]) == 0
+        registry = bundle / "turbines.csv"
+        header, row = registry.read_text(encoding="utf-8").splitlines()
+        fields = row.split(",")
+        fields[header.split(",").index("t_cap")] = "2000"
+        registry.write_text(f"{header}\n{','.join(fields)}\n", encoding="utf-8")
+        series = report_json(bundle, tmp_path / "out")["series"]
+        specific = series["specific_power_w_m2"]["values"]
+        assert specific == [capacity * 1e6 / area for capacity, area in
+                            zip(series["capacity_mw"]["values"], series["area_m2"]["values"])]
+        assert specific == [pytest.approx(254.648, abs=5e-4)] * 2
 
-    def test_zero_area(self):
-        with pytest.raises(ValueError):
-            specific_power(1000.0, 0.0)
+    def test_zero_area(self, tmp_path):
+        """A study year with no operating turbine, so no swept area, fails the
+        fleet stage, naming the first such year."""
+        registry = tmp_path / "turbines.csv"
+        registry.write_bytes(csv_bytes("A,-97.0,37.0,2011,80,100,2000,false,",
+                                       "B,-97.0,37.0,2012,80,100,2000,false,"))
+        config = RunConfig(turbines=str(registry), windgrid="", generation="",
+                           start_year=2009, end_year=2012, out="")
+        with pytest.raises(PipelineError) as failure:
+            fleet_stage(config)
+        assert (failure.value.stage, failure.value.message, failure.value.exit_code) == (
+            "fleet", "no operating turbines in 2009", 3)
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import const_grid, fleet_of, grid_from_field, turbine
+from conftest import const_grid, fleet_of, grid_from_field, report_json, turbine
 from windfleet import powerflux, windgrid
+from windfleet.cli import main
+from windfleet.decomp import multiplicative_decomposition
 from windfleet.errors import DataError
 from windfleet.powerflux import (BETZ_LIMIT, RHO, BetzLimitWarning,
                                  MonthlySeries, aggregate_pin,
-                                 annual_pin_series, capacity_factor, cube_sums,
-                                 hours_in_period, input_power_density,
-                                 output_power_density,
+                                 annual_pin_series, cube_sums,
+                                 hours_in_period,
                                  parse_generation_csv, period_bounds,
                                  pout_series, system_efficiency)
+from windfleet.series import AnnualSeries
 from windfleet.synth import brute_force_pin
 from windfleet.windgrid import grid_to_bytes, load_windgrid, write_windgrid
 
@@ -542,19 +544,41 @@ class TestPoutSeries:
             pout_series(series, 2010)
 
 
+def report_values(report, name):
+    """The values of one report.json series."""
+    return report["series"][name]["values"]
+
+
 class TestRatios:
-    def test_densities(self):
-        assert input_power_density(313.6, 1.0) == 313.6
-        assert output_power_density(313.6, 1.0) == 313.6
+    """The report's annual ratios: input density and efficiency are the
+    decomposition's factors, the others plain quotients of report series."""
+
+    def test_densities(self, synth_report):
+        factors = synth_report["decomposition"]["factors"]
+        assert (report_values(synth_report, "input_power_density_w_m2")
+                == factors["input_density"]["values"])
+        assert report_values(synth_report, "output_power_density_w_m2") == [
+            p_out / area for p_out, area in zip(report_values(synth_report, "p_out_w"),
+                                                report_values(synth_report, "area_m2"))]
+
+    @staticmethod
+    def decomposition(area, p_in):
+        years = len(area)
+        return multiplicative_decomposition(
+            AnnualSeries(2010, [1.0] * years, "count"), AnnualSeries(2010, area, "m²"),
+            AnnualSeries(2010, p_in, "W"), AnnualSeries(2010, [0.1 * p for p in p_in], "W"))
 
     def test_density_scale_invariance(self):
-        assert input_power_density(500.0, 10.0) == input_power_density(1000.0, 20.0)
+        density = [self.decomposition([area], [p_in]).factors.input_density.values
+                   for p_in, area in ((500.0, 10.0), (1000.0, 20.0))]
+        assert density == [[50.0], [50.0]]
 
     def test_density_zero_area(self):
-        with pytest.raises(ValueError):
-            input_power_density(1.0, 0.0)
-        with pytest.raises(ValueError):
-            output_power_density(1.0, -2.0)
+        # a report never gets here: its fleet stage fails a year with no
+        # operating turbine (test_fleet.py::TestSpecificPower::test_zero_area)
+        for area in (0.0, -2.0):
+            with pytest.raises(ValueError, match="area must be positive, year 2011"):
+                self.decomposition([1.0, area], [1.0, 1.0])
 
     def test_system_efficiency(self):
         assert system_efficiency(100.0, 1000.0) == pytest.approx(0.1)
@@ -573,23 +597,30 @@ class TestRatios:
         with pytest.raises(ValueError):
             system_efficiency(1.0, 0.0)
 
-    def test_density_ratio_identity(self):
-        # efficiency computed from densities times area equals the density ratio
-        rng = random.Random(6)
-        for _ in range(100):
-            p_in = rng.uniform(100, 1000)
-            p_out = rng.uniform(0.01, 0.5) * p_in
-            area = rng.uniform(1, 1e5)
-            d_out = output_power_density(p_out, area)
-            d_in = input_power_density(p_in, area)
-            assert system_efficiency(d_out * area, d_in * area) == pytest.approx(
-                d_out / d_in, rel=1e-12)
+    def test_density_ratio_identity(self, synth_report):
+        # efficiency is the decomposition's, and equals the density ratio
+        efficiency = report_values(synth_report, "efficiency")
+        assert efficiency == synth_report["decomposition"]["factors"]["efficiency"]["values"]
+        for e, d_out, d_in in zip(efficiency,
+                                  report_values(synth_report, "output_power_density_w_m2"),
+                                  report_values(synth_report, "input_power_density_w_m2")):
+            assert e == pytest.approx(d_out / d_in, rel=1e-12)
 
-    def test_capacity_factor(self):
-        assert capacity_factor(50e6, 200e6) == pytest.approx(0.25)
-        assert capacity_factor(0.0, 100.0) == 0.0
-        with pytest.raises(ValueError):
-            capacity_factor(1.0, 0.0)
+    def test_capacity_factor(self, synth_report):
+        assert report_values(synth_report, "capacity_factor") == [
+            p_out / (capacity * 1e6)
+            for p_out, capacity in zip(report_values(synth_report, "p_out_w"),
+                                       report_values(synth_report, "capacity_mw"))]
+
+    def test_report_over_betz_limit_warns(self, tmp_path):
+        """A planted efficiency over the Betz limit still warns: every month
+        is over it, and the monthly efficiencies raise the warning."""
+        bundle = tmp_path / "bundle"
+        assert main(["synth", "--out", str(bundle), "--n-turbines", "4",
+                     "--years", "2010:2011", "--efficiency", "0.7,0", "--seed", "4"]) == 0
+        with pytest.warns(BetzLimitWarning):
+            report = report_json(bundle, tmp_path / "out")
+        assert all(e > BETZ_LIMIT for e in report_values(report, "efficiency"))
 
     def test_betz_limit_value(self):
         assert BETZ_LIMIT == pytest.approx(16 / 27)
