@@ -77,16 +77,24 @@ def _parse_timestamp(raw: str) -> int:
 
 
 def _read_series_csv(path) -> AnnualSeries:
-    """Read a ``year,value,unit`` series, its years dense in any order; its
-    data errors name the file."""
-    pairs = []
+    """Read a ``year,value,unit`` series, its years dense in any order, each
+    once, and every row in the first row's unit; its data errors name the
+    file."""
+    values: dict[int, float] = {}
+    first_unit = None
     try:
         with csvinput.table(Path(path).read_bytes(), "series",
                             ("year", "value", "unit")) as table:
-            for row_no, (year, value, unit) in table:  # the last row's unit
-                pairs.append((csvinput.number(int, year, "year", row_no),
-                              csvinput.number(float, value, "value", row_no)))
-        return dense_series(pairs, unit, "series")
+            for row_no, (year, value, unit) in table:
+                year = csvinput.number(int, year, "year", row_no)
+                if year in values:
+                    raise DataError(f"duplicate year {year}, row {row_no}")
+                if first_unit is None:
+                    first_unit = unit
+                elif unit != first_unit:
+                    raise DataError(f"unit {unit} differs from {first_unit}, row {row_no}")
+                values[year] = csvinput.number(float, value, "value", row_no)
+        return dense_series(list(values.items()), first_unit, "series")
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -174,9 +182,9 @@ def _cmd_pin(args) -> int:
     with pipeline.stage("windgrid"):
         grid = windgrid.load_windgrid(args.windgrid)
     with pipeline.stage("powerflux"):
-        series = powerflux.annual_pin_series(grid, fleet, range(start, end + 1),
-                                             height, climate, study, args.workers)
-    _write_series_csv(args.out, series)
+        values = powerflux.pin_series(grid, fleet, range(start, end + 1), height, climate,
+                                      study, args.workers)
+    _write_series_csv(args.out, AnnualSeries(start, values, "W"))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -242,8 +250,8 @@ def _cmd_report(args) -> int:
     values.update({key: getattr(args, key) for key in pipeline.CONFIG_KEYS
                    if getattr(args, key) is not None})
     config = pipeline.config_from_mapping(values)
-    bundle = pipeline.run_pipeline(config)
-    print(f"wrote {len(bundle.files)} files to {bundle.out_dir}")
+    files = pipeline.run_pipeline(config)
+    print(f"wrote {len(files)} files to {Path(config.out)}")
     return EXIT_OK
 
 

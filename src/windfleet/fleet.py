@@ -176,10 +176,9 @@ class Fleet:
 
 @dataclass
 class ImputationReport:
-    """Per-year, per-field share of originally missing values."""
+    """What ``impute_missing`` filled, per imputable field.  The share of
+    missing values per year is ``validate.missingness_report``'s."""
 
-    #: field -> year -> share of that year's turbines with the field missing
-    missing_share: dict[str, dict[int, float]]
     #: field -> number of values filled
     imputed_counts: dict[str, int]
     #: field -> years where no in-year value existed and the global mean was used
@@ -372,10 +371,7 @@ def impute_missing(records: Iterable[TurbineRecord]
     """
     table = TurbineColumns.of(records)
     check_commissioning_years(table)
-    years, cohort, in_year = np.unique(table.commissioning_year, return_inverse=True,
-                                       return_counts=True)
-    year_list = years.tolist()
-    missing_share: dict[str, dict[int, float]] = {}
+    years, cohort = np.unique(table.commissioning_year, return_inverse=True)
     imputed_counts: dict[str, int] = {}
     fallback_years: dict[str, list[int]] = {}
     filled = {}
@@ -391,7 +387,6 @@ def impute_missing(records: Iterable[TurbineRecord]
         sums = np.bincount(cohort[observed], weights=values[observed], minlength=len(years))
         global_mean = _turbine_order_sum(values[observed]) / n_observed
         means = np.where(counts > 0, sums / np.maximum(counts, 1), global_mean)
-        missing_share[fname] = dict(zip(year_list, (1.0 - counts / in_year).tolist()))
         fallback_years[fname] = years[counts == 0].tolist()
         imputed_counts[fname] = len(values) - n_observed
         filled[fname] = np.where(observed, values, means[cohort])
@@ -399,7 +394,7 @@ def impute_missing(records: Iterable[TurbineRecord]
     imputed = table.imputed | np.isnan(
         np.stack([getattr(table, f) for f in IMPUTABLE_FIELDS], axis=1))
     return (replace(table, imputed=imputed, **filled),
-            ImputationReport(missing_share, imputed_counts, fallback_years))
+            ImputationReport(imputed_counts, fallback_years))
 
 
 def preprocess(records: Iterable[TurbineRecord],
@@ -498,18 +493,16 @@ def _weighted_series(fleet: Fleet, years, scenario: ScenarioSpec | None,
             for y in years]
 
 
-def annual_counts(fleet: Fleet, years: range,
-                  scenario: ScenarioSpec | None = None) -> AnnualSeries:
+def annual_counts(fleet: Fleet, years: range) -> AnnualSeries:
     """Operating turbine count per year with the commissioning-year 0.5 weight."""
     ys = _year_range(years)
-    return AnnualSeries(ys[0], _weighted_series(fleet, ys, scenario, 1.0), "count")
+    return AnnualSeries(ys[0], _weighted_series(fleet, ys, None, 1.0), "count")
 
 
-def annual_swept_area(fleet: Fleet, years: range,
-                      scenario: ScenarioSpec | None = None) -> AnnualSeries:
+def annual_swept_area(fleet: Fleet, years: range) -> AnnualSeries:
     """Total rotor swept area per year (m²), same weighting as counts."""
     ys = _year_range(years)
-    return AnnualSeries(ys[0], _weighted_series(fleet, ys, scenario,
+    return AnnualSeries(ys[0], _weighted_series(fleet, ys, None,
                                                 swept_areas(fleet.turbines)), "m²")
 
 

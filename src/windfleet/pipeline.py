@@ -249,13 +249,6 @@ def decomposition_json(result: decomp.DecompositionResult) -> dict:
     return payload
 
 
-@dataclass
-class ReportBundle:
-    report: dict
-    out_dir: Path
-    files: list[str]
-
-
 # ---------------------------------------------------------------------------
 # stages: each maps its errors to an exit code through ``stage``
 # ---------------------------------------------------------------------------
@@ -465,8 +458,9 @@ def validation_stage(fleet: fleet_mod.Fleet, years: range, scenarios: list[str],
         return Validation(capacity, rel_diff, missing)
 
 
-def run_pipeline(config: RunConfig) -> ReportBundle:
-    """Execute every stage and write the report bundle; see module docs."""
+def run_pipeline(config: RunConfig) -> list[str]:
+    """Execute every stage and write the report bundle to ``config.out``;
+    returns the names of the files written.  See module docs."""
     config.check()
     reference = load_reference(config.reference, config.years)
     energy = load_generation(config.generation, config.years)
@@ -523,8 +517,9 @@ def _report(config: RunConfig, fleet: FleetSeries, series: dict[str, AnnualSerie
 
 def write_stage(config: RunConfig, fleet: FleetSeries, power: PowerSeries,
                 result: decomp.DecompositionResult, trend: TrendResult,
-                checks: Validation) -> ReportBundle:
-    """Build report.json and write the bundle through a staging directory."""
+                checks: Validation) -> list[str]:
+    """Build report.json and write the bundle through a staging directory;
+    returns the names of the files written."""
     series = {  # report.json's "series", in series.csv row order
         "n": fleet.n,
         "area_m2": fleet.area,
@@ -554,7 +549,7 @@ def write_stage(config: RunConfig, fleet: FleetSeries, power: PowerSeries,
                 os.replace(staging / name, out_dir / name)
         finally:
             shutil.rmtree(staging, ignore_errors=True)
-    return ReportBundle(report=report, out_dir=out_dir, files=files)
+    return files
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -700,10 +695,8 @@ def emit_plots(power: PowerSeries, result: decomp.DecompositionResult, trend: Tr
         "Share of missing meta parameters", "commissioning year", "share",
         [(f, list(s.years), s.values) for f, s in checks.missingness.items()])
 
-    rel_series = [(label, list(s.years), s.values)
-                  for label, s in checks.relative_difference.items()]
-    plots["relative_difference.svg"] = (
-        svgplot.line_chart("Capacity: registry vs reference", "year", "%",
-                           rel_series)
-        if rel_series else svgplot.placeholder("Capacity: registry vs reference"))
+    # without a reference there are no series, and line_chart draws its placeholder
+    plots["relative_difference.svg"] = svgplot.line_chart(
+        "Capacity: registry vs reference", "year", "%",
+        [(label, list(s.years), s.values) for label, s in checks.relative_difference.items()])
     return plots

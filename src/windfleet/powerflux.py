@@ -175,13 +175,13 @@ def _worker_cube_sums(chunk: tuple[int, int]) -> tuple[np.ndarray, int]:
 
 
 def _map_chunks(inputs: _PassInputs, workers: int) -> list:
+    """``_chunk_cube_sums`` of every chunk, in chunk order: in this process,
+    or with ``workers > 1`` on one forked pool.  Every platform with the
+    ``os.preadv`` that each file-backed read needs also has fork."""
     chunks = _chunk_bounds(len(inputs.nodes))
     if workers <= 1 or len(chunks) <= 1:
         return [_chunk_cube_sums(inputs, c) for c in chunks]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # platform without fork: results are identical anyway
-        return [_chunk_cube_sums(inputs, c) for c in chunks]
+    ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=min(workers, len(chunks)), initializer=_init_worker,
                   initargs=(inputs,)) as pool:
         return pool.map(_worker_cube_sums, chunks)

@@ -23,29 +23,37 @@ class OlsFit:
         return self.slope * x + self.intercept
 
 
-def ols_fit(xs, ys) -> OlsFit:
-    """Ordinary least squares line through (xs, ys).
-
-    The fitted line passes through the sample means.  R² is defined as 0 for
-    a zero-variance target so it stays inside [0, 1].
-    """
-    xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
+def _centred_sums(x, y) -> tuple[list[float], list[float], float, float, float, float, float]:
+    """Both samples as floats, their means, and their centred sums of squares
+    and of products: ``(xs, ys, xbar, ybar, sxx, syy, sxy)``, each sum one
+    ``sum`` in sample order."""
+    xs = [float(v) for v in x]
+    ys = [float(v) for v in y]
     if len(xs) != len(ys):
         raise ValueError("x and y must have equal lengths")
     if len(xs) < 2:
         raise ValueError("need at least two points")
     xbar = sum(xs) / len(xs)
     ybar = sum(ys) / len(ys)
-    sxx = sum((x - xbar) ** 2 for x in xs)
+    sxx = sum((v - xbar) ** 2 for v in xs)
+    syy = sum((v - ybar) ** 2 for v in ys)
+    sxy = sum((a - xbar) * (b - ybar) for a, b in zip(xs, ys))
+    return xs, ys, xbar, ybar, sxx, syy, sxy
+
+
+def ols_fit(xs, ys) -> OlsFit:
+    """Ordinary least squares line through (xs, ys).
+
+    The fitted line passes through the sample means.  R² is defined as 0 for
+    a zero-variance target so it stays inside [0, 1].
+    """
+    xs, ys, xbar, ybar, sxx, ss_tot, sxy = _centred_sums(xs, ys)
     if sxx == 0:
         raise ValueError("all x values identical; fit is degenerate")
-    sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = ybar - slope * xbar
     residuals = [y - (slope * x + intercept) for x, y in zip(xs, ys)]
     ss_res = sum(r * r for r in residuals)
-    ss_tot = sum((y - ybar) ** 2 for y in ys)
     r_squared = 0.0 if ss_tot == 0 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
     return OlsFit(slope, intercept, residuals, r_squared)
 
@@ -79,18 +87,8 @@ def counterfactual_efficiency(e: AnnualSeries, d_in: AnnualSeries) -> Counterfac
 
 def pearson(x, y) -> float:
     """Pearson correlation coefficient of two equally long samples."""
-    xs = [float(v) for v in x]
-    ys = [float(v) for v in y]
-    if len(xs) != len(ys):
-        raise ValueError("series must have equal lengths")
-    if len(xs) < 2:
-        raise ValueError("need at least two points")
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    sxx = sum((v - xbar) ** 2 for v in xs)
-    syy = sum((v - ybar) ** 2 for v in ys)
+    *_, sxx, syy, sxy = _centred_sums(x, y)
     if sxx == 0 or syy == 0:
         raise ValueError("correlation undefined for zero-variance series")
-    sxy = sum((a - xbar) * (b - ybar) for a, b in zip(xs, ys))
     r = sxy / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))

@@ -98,7 +98,17 @@ class WindGrid:
         return getattr(self, name)
 
     def validate(self) -> None:
-        _check_layout(self.step, self.n_time, self.lats, self.lons)
+        if self.step <= 0:
+            raise DataError("grid step must be positive")
+        for axis, name in ((self.lons, "lons"), (self.lats, "lats")):
+            if axis.ndim != 1 or len(axis) < 1:
+                raise DataError(f"{name} axis must be a nonempty vector")
+            if not np.isfinite(axis).all():
+                raise DataError(f"{name} axis contains non-finite values")
+            if np.any(np.diff(axis) <= 0):
+                raise DataError(f"{name} axis must be strictly ascending")
+        if self.n_time < 1:
+            raise DataError("grid must contain at least one time step")
         shape = (self.n_time, len(self.lats), len(self.lons))
         for name in VARIABLES:
             arr = self.variable(name)
@@ -108,20 +118,6 @@ class WindGrid:
             for name in VARIABLES:
                 if not all(np.isfinite(window).all() for _, window in windows(name)):
                     raise DataError(f"variable {name} contains non-finite values")
-
-
-def _check_layout(step: int, n_time: int, lats: np.ndarray, lons: np.ndarray) -> None:
-    if step <= 0:
-        raise DataError("grid step must be positive")
-    for axis, name in ((lons, "lons"), (lats, "lats")):
-        if axis.ndim != 1 or len(axis) < 1:
-            raise DataError(f"{name} axis must be a nonempty vector")
-        if not np.isfinite(axis).all():
-            raise DataError(f"{name} axis contains non-finite values")
-        if np.any(np.diff(axis) <= 0):
-            raise DataError(f"{name} axis must be strictly ascending")
-    if n_time < 1:
-        raise DataError("grid must contain at least one time step")
 
 
 def _write_grid(grid: WindGrid, fh) -> None:
@@ -149,12 +145,12 @@ def write_windgrid(grid: WindGrid, path) -> None:
         _write_grid(grid, fh)
 
 
-def _read_header(head: bytes, size: int) -> tuple[int, int, int, int, int]:
-    """(n_time, n_lat, n_lon, t0, step) of a WGRD file of ``size`` bytes that
-    starts with ``head``; the size must be exactly what the header declares."""
-    if len(head) < _HEADER.size:
+def _read_header(buf) -> tuple[int, int, int, int, int]:
+    """(n_time, n_lat, n_lon, t0, step) of the WGRD file held in ``buf``;
+    its size must be exactly what the header declares."""
+    if (size := len(buf)) < _HEADER.size:
         raise DataError("truncated WGRD header")
-    magic, version, n_time, n_lat, n_lon, t0, step = _HEADER.unpack_from(head)
+    magic, version, n_time, n_lat, n_lon, t0, step = _HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise DataError(f"bad magic {magic!r}, not a WGRD file")
     if version != VERSION:
@@ -168,41 +164,43 @@ def _read_header(head: bytes, size: int) -> tuple[int, int, int, int, int]:
     return n_time, n_lat, n_lon, t0, step
 
 
-def grid_from_bytes(data: bytes) -> WindGrid:
-    """A validated grid whose arrays are read-only views of ``data``."""
-    n_time, n_lat, n_lon, t0, step = _read_header(data, len(data))
-    axes = np.frombuffer(data, "<f8", n_lat + n_lon, _HEADER.size)
-    payload = np.frombuffer(data, "<f4", offset=_HEADER.size + axes.nbytes)
-    grid = WindGrid(lons=axes[n_lat:], lats=axes[:n_lat], t0=t0, step=step,
-                    **dict(zip(VARIABLES, payload.reshape(-1, n_time, n_lat, n_lon))))
+def _parse(buf: np.ndarray, path=None, st: os.stat_result | None = None) -> WindGrid:
+    """The validated grid of the WGRD file in ``buf``, a read-only uint8 array:
+    its variables are views of ``buf`` and its axes copies.  A file's grid
+    (``path`` and its ``st`` given) names its ``source`` before it is
+    validated, so the finite check reads through ``stamp_windows``."""
+    n_time, n_lat, n_lon, t0, step = _read_header(buf)
+    offset = _HEADER.size + 8 * (n_lat + n_lon)
+    # copied: a file that shrinks after the load is never read through its map
+    axes = np.frombuffer(bytes(buf[_HEADER.size:offset]), "<f8")
+    payload = buf[offset:].view("<f4").reshape(len(VARIABLES), n_time, n_lat, n_lon)
+    source = None if path is None else GridFile(
+        os.path.abspath(path), offset, st.st_size, st.st_mtime_ns, st.st_dev, st.st_ino)
+    grid = WindGrid(lons=axes[n_lat:], lats=axes[:n_lat], t0=t0, step=step, source=source,
+                    **dict(zip(VARIABLES, payload)))
     grid.validate()
     return grid
+
+
+def grid_from_bytes(data: bytes) -> WindGrid:
+    """A validated grid whose variables are read-only views of ``data``."""
+    return _parse(np.frombuffer(data, np.uint8))
 
 
 def load_windgrid(path) -> WindGrid:
     """Validate a WGRD file and return a grid whose variables are read-only
     maps of its payload.
 
-    The header, the size and the axes are checked as in ``grid_from_bytes``;
-    then ``WindGrid.validate`` reads the payload once through
-    ``stamp_windows`` and every value must be finite.  Nothing of the
-    payload stays in memory.
+    The file is parsed as ``grid_from_bytes`` parses bytes, through a
+    read-only map of the whole file; ``WindGrid.validate`` then reads the
+    payload once through ``stamp_windows`` and every value must be finite.
+    Nothing of the payload stays in memory.
     """
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
-        n_time, n_lat, n_lon, t0, step = _read_header(fh.read(_HEADER.size), st.st_size)
-        axes = np.frombuffer(fh.read(8 * (n_lat + n_lon)), "<f8")
-        lats, lons = axes[:n_lat], axes[n_lat:]
-        _check_layout(step, n_time, lats, lons)
-        offset = fh.tell()
-        payload = np.memmap(fh, dtype="<f4", mode="r", offset=offset,
-                            shape=(len(VARIABLES), n_time, n_lat, n_lon))
-    source = GridFile(os.path.abspath(path), offset, st.st_size, st.st_mtime_ns,
-                      st.st_dev, st.st_ino)
-    grid = WindGrid(lons=lons, lats=lats, t0=t0, step=step, source=source,
-                    **dict(zip(VARIABLES, payload)))
-    grid.validate()
-    return grid
+        # numpy cannot map an empty file; it is a truncated header all the same
+        buf = np.memmap(fh, np.uint8, "r") if st.st_size else np.empty(0, np.uint8)
+    return _parse(buf, path, st)
 
 
 def _pread_into(fd: int, out: np.ndarray, offset: int) -> None:

@@ -21,7 +21,7 @@ def turbine(tid="T1", lon=-97.0, lat=37.0, year=2010, hub=80.0, rotor=100.0,
 def fleet_of(records):
     """Wrap complete records in a Fleet without running preprocessing."""
     return Fleet(turbines=list(records), provenance={},
-                 imputation=ImputationReport({}, {}, {}))
+                 imputation=ImputationReport({}, {}))
 
 
 def const_grid(v10=8.0, v100=8.0, t0=1262304000, n_time=24,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import windfleet
-from windfleet import fleet, pipeline, powerflux, validate, windgrid
+from windfleet import fleet, pipeline, powerflux, svgplot, validate, windgrid
 from windfleet.windgrid import VARIABLES, WindGrid, grid_to_bytes, load_windgrid
 from windfleet.cli import build_parser, main
 from windfleet.pipeline import (CONFIG_KEYS, PipelineError, load_config_file,
@@ -172,6 +172,17 @@ class TestReportCommand:
         assert svgs == set(data_for)
         for csv_name in data_for.values():
             assert (out / csv_name).is_file(), csv_name
+
+    def test_no_reference_draws_placeholder(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_report(fixture_dir, out, ["--reference", ""]) == 0
+        assert capsys.readouterr().out == f"wrote {len(list(out.iterdir()))} files to {out}\n"
+        report = json.loads((out / "report.json").read_text())
+        assert report["inputs"]["reference"] is None
+        assert report["validation"]["relative_capacity_difference_pct"] == {}
+        assert not (out / "relative_difference.csv").exists()
+        assert (out / "relative_difference.svg").read_text(encoding="utf-8") == \
+            svgplot.placeholder("Capacity: registry vs reference")
 
     def test_missing_windgrid_path(self, fixture_dir, tmp_path, capsys):
         code = main(["report", "--config", str(fixture_dir / "run.conf"),
@@ -712,7 +723,7 @@ class TestConfigBoundary:
 
         def record(config):
             seen.append(config)
-            return pipeline.ReportBundle(report={}, out_dir=Path(config.out), files=[])
+            return []
 
         monkeypatch.setattr(pipeline, "run_pipeline", record)
         return seen

@@ -130,9 +130,13 @@ class TestSharedRules:
         ("year,value,unit\n2010,1.0,W\n\n2011,2.0\n", "expected 3 columns, got 2, row 3"),
         ("year,value,unit\n2010,1.0,W\n\n,2.0,W\n", "non-numeric year, row 3"),
         ("year,value,unit\n2010,1.0,W\n2012,2.0,W\n", "non-contiguous years in series"),
+        ("year,value,unit\n2010,1.0,W\n2010,2.0,W\n", "duplicate year 2010, row 2"),
+        ("year,value,unit\n2010,1.0,W\n2011,2.0,MW\n2012,3.0,count\n",
+         "unit MW differs from W, row 2"),
         ("year,value,unit\n\n", "no series data"),
         ("year,va\rlue,unit\n2010,1.0,W\n", "lone carriage return in an unquoted field, row 0")],
-        ids=["non_number", "columns", "blank_field", "gap", "no_rows", "header_cr"])
+        ids=["non_number", "columns", "blank_field", "gap", "duplicate_year", "mixed_units",
+             "no_rows", "header_cr"])
     def test_series_errors_name_file_and_row(self, bundle, tmp_path, text, message):
         """Blank rows count; a blank field is not a number; the header is row 0."""
         bad = tmp_path / "series.csv"

@@ -158,7 +158,7 @@ class TestImputeMissing:
         filled = next(r for r in out if r.id == "C")
         assert filled.rotor_diameter == pytest.approx(105.0)
         assert filled.imputed_fields == {"rotor_diameter"}
-        assert report.missing_share["rotor_diameter"][2015] == pytest.approx(1 / 3)
+        assert report.imputed_counts["rotor_diameter"] == 1
 
     def test_global_fallback(self):
         recs = [turbine("A", year=2013, cap=1000.0),
@@ -175,8 +175,7 @@ class TestImputeMissing:
         recs = [turbine("A"), turbine("B", rotor=90.0)]
         out, report = impute_missing(recs)
         assert list(out) == recs
-        assert all(v == 0.0 for shares in report.missing_share.values()
-                   for v in shares.values())
+        assert report.imputed_counts == dict.fromkeys(IMPUTABLE_FIELDS, 0)
 
     def test_field_never_observed(self):
         recs = [turbine("A", hub=None), turbine("B", hub=None)]
@@ -399,13 +398,12 @@ def left_to_right(values):
     return total
 
 
-def naive_counts(turbines, years, scenario):
-    return [left_to_right(operating_weight(r, y, scenario) for r in turbines)
-            for y in years]
+def naive_counts(turbines, years):
+    return [left_to_right(operating_weight(r, y) for r in turbines) for y in years]
 
 
-def naive_area(turbines, years, scenario):
-    return [left_to_right(operating_weight(r, y, scenario) * rotor_swept_area(r.rotor_diameter)
+def naive_area(turbines, years):
+    return [left_to_right(operating_weight(r, y) * rotor_swept_area(r.rotor_diameter)
                           for r in turbines) for y in years]
 
 
@@ -427,16 +425,15 @@ def naive_impute(records):
     """Per field and year, the mean of that year's observed values (the
     global mean where a year has none), by rescanning the records."""
     years = sorted({r.commissioning_year for r in records})
-    share, means, fallback = {}, {}, {}
+    means, fallback = {}, {}
     for fname in IMPUTABLE_FIELDS:
         observed_all = [getattr(r, fname) for r in records if getattr(r, fname) is not None]
         if not observed_all:
             raise DataError(f"field never observed: {fname}")
-        share[fname], means[fname], fallback[fname] = {}, {}, []
+        means[fname], fallback[fname] = {}, []
         for year in years:
             in_year = [r for r in records if r.commissioning_year == year]
             observed = [getattr(r, fname) for r in in_year if getattr(r, fname) is not None]
-            share[fname][year] = 1.0 - len(observed) / len(in_year)
             if observed:
                 means[fname][year] = left_to_right(observed) / len(observed)
             else:
@@ -444,7 +441,7 @@ def naive_impute(records):
                 fallback[fname].append(year)
     filled = [{f: means[f][r.commissioning_year] if getattr(r, f) is None else getattr(r, f)
                for f in IMPUTABLE_FIELDS} for r in records]
-    return filled, share, fallback
+    return filled, fallback
 
 
 def naive_missingness(records):
@@ -496,10 +493,10 @@ class TestVectorisedAggregates:
     @given(fleets(), scenarios)
     def test_series_equal_naive_loops_bitwise(self, recs, scenario):
         fleet = fleet_of(recs)
-        assert bits(annual_counts(fleet, self.YEARS, scenario).values) == bits(
-            naive_counts(recs, self.YEARS, scenario))
-        assert bits(annual_swept_area(fleet, self.YEARS, scenario).values) == bits(
-            naive_area(recs, self.YEARS, scenario))
+        assert bits(annual_counts(fleet, self.YEARS).values) == bits(
+            naive_counts(recs, self.YEARS))
+        assert bits(annual_swept_area(fleet, self.YEARS).values) == bits(
+            naive_area(recs, self.YEARS))
         assert bits(annual_capacity(fleet, self.YEARS, scenario).values) == bits(
             naive_capacity(recs, self.YEARS, scenario))
 
@@ -513,7 +510,7 @@ class TestVectorisedAggregates:
     @given(fleets(min_size=1, no_year=False))
     def test_impute_equals_naive_rescan(self, recs):
         try:
-            filled, share, fallback = naive_impute(recs)
+            filled, fallback = naive_impute(recs)
         except DataError as exc:
             with pytest.raises(DataError, match=str(exc)):
                 impute_missing(recs)
@@ -521,8 +518,6 @@ class TestVectorisedAggregates:
         out, report = impute_missing(recs)
         for rec, want in zip(out, filled):
             assert bits(getattr(rec, f) for f in IMPUTABLE_FIELDS) == bits(want.values())
-        assert [list(s.items()) for s in report.missing_share.values()] == [
-            list(s.items()) for s in share.values()]
         assert report.fallback_years == fallback
 
     def test_impute_fallback_years_equal_naive(self):
@@ -530,7 +525,7 @@ class TestVectorisedAggregates:
                 turbine("C", year=2006, cap=None, rotor=None),
                 turbine("D", year=2007, cap=None), turbine("E", year=2007, cap=None, rotor=95.5)]
         out, report = impute_missing(recs)
-        filled, _, fallback = naive_impute(recs)
+        filled, fallback = naive_impute(recs)
         assert report.fallback_years == fallback == {
             "hub_height": [], "rotor_diameter": [2006], "capacity": [2006, 2007]}
         assert [bits(r.capacity for r in out)] == [bits(f["capacity"] for f in filled)]

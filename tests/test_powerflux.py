@@ -423,6 +423,53 @@ class TestPassMatchesOracle:
                 assert abs(fast - slow) <= 1e-9 * slow, (height, climate, fast, slow)
 
 
+class TestSubHourlyBlocks:
+    """A half-hourly grid over January and February 2010: a month longer
+    than ``BLOCK_STAMPS`` stamps is cut every ``BLOCK_STAMPS`` stamps."""
+
+    LONS, LATS = (-100.0, -98.5, -97.0), (35.0, 37.0)
+
+    @classmethod
+    def grid(cls):
+        rng = np.random.default_rng(17)
+        n_time = 48 * (31 + 28)
+        u10, v10, u100, v100 = rng.uniform(-20.0, 20.0, (4, n_time, 2, 3))
+        calm10, calm100 = [5, 900, 2000], [40, 1500, 2800]  # in both months' blocks
+        u10[calm10] = v10[calm10] = 0.0
+        u100[calm100] = v100[calm100] = 0.0
+        return grid_from_field(u10, v10, u100, v100, lons=cls.LONS, lats=cls.LATS, step=1800)
+
+    @classmethod
+    def turbines(cls, n):
+        rng = np.random.default_rng(n)
+        return [turbine(f"T{i}", lon=float(rng.uniform(cls.LONS[0], cls.LONS[-1])),
+                        lat=float(rng.uniform(cls.LATS[0], cls.LATS[-1])), year=2009,
+                        hub=float(rng.uniform(30.0, 200.0))) for i in range(n)]
+
+    def test_block_edges(self):
+        grid = self.grid()
+        assert powerflux.BLOCK_STAMPS == 744
+        assert powerflux._block_bounds(grid, 0, grid.n_time).tolist() == [
+            0, 744, 1488, 2232, 2832]
+
+    def test_pass_matches_oracle_with_calm_hours(self):
+        grid, fleet = self.grid(), fleet_of(self.turbines(4))
+        assert cube_sums(grid, fleet.turbines, ["hub"], (0, grid.n_time)).calm_hours == 4 * 6
+        for height in ("hub", 76.0):
+            for period in ((2010, 1), (2010, 2)):
+                fast = aggregate_pin(grid, fleet, period, height)
+                slow = brute_force_pin(grid, fleet, period, height)
+                assert abs(fast - slow) <= 1e-9 * slow, (height, period, fast, slow)
+
+    def test_sums_bit_identical_at_any_worker_count(self):
+        grid, recs = self.grid(), self.turbines(70)
+        one, two = (cube_sums(grid, recs, ["hub", 76.0], (0, grid.n_time), workers)
+                    for workers in (1, 2))
+        assert one.sums.shape == (2, 4, 70)
+        assert np.array_equal(one.sums, two.sums)
+        assert one.calm_hours == two.calm_hours == 70 * 6
+
+
 @st.composite
 def permuted_fleets(draw):
     """An hourly January 2010 grid with calm stamps, a fleet crowded into few

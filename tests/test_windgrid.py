@@ -111,6 +111,14 @@ class TestWgrdFormat:
         assert len(calls) == 1, calls
         assert not any("readinto" in line for line in lines)
 
+    def test_one_header_parse_site(self):
+        """Bytes and files go through one WGRD parser: one ``_read_header``
+        call site."""
+        lines = Path(windgrid.__file__).read_text(encoding="utf-8").splitlines()
+        calls = [line for line in lines
+                 if "_read_header(" in line and not line.startswith("def ")]
+        assert len(calls) == 1, calls
+
     def test_loaded_payload_stays_on_disk(self, tmp_path):
         path = tmp_path / "g.wgrd"
         write_windgrid(small_grid(), path)
