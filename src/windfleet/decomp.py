@@ -11,6 +11,8 @@ telescope back to the observed density.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DataError, InvariantError
@@ -62,6 +64,14 @@ def multiplicative_decomposition(n: AnnualSeries, area: AnnualSeries,
         apt = av / nv
         d = pv / av
         e = ov / pv
+        # a factor that overflowed, underflowed or lost precision as a
+        # subnormal is extreme input, not a broken identity
+        for name, factor, numerator in (("area per turbine", apt, av),
+                                        ("input density", d, pv), ("efficiency", e, ov)):
+            if numerator != 0 and not (math.isfinite(factor)
+                                       and abs(factor) >= sys.float_info.min):
+                raise DataError(f"{name} {factor!r} outside the normal float range, "
+                                f"year {year}")
         area_per_turbine.append(apt)
         density.append(d)
         efficiency.append(e)

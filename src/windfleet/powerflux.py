@@ -187,7 +187,11 @@ def _map_chunks(inputs: _PassInputs, workers: int) -> list:
         return pool.map(_worker_cube_sums, chunks)
 
 
-def _stamp_slice(grid: WindGrid, start_ts: int, end_ts: int) -> tuple[int, int]:
+def _stamp_slice(grid: WindGrid, first, last=None) -> tuple[int, int]:
+    """Grid stamps [k0, k1) from the start of period ``first`` to the end of
+    period ``last`` (``first`` when not given)."""
+    start_ts = period_bounds(first)[0]
+    end_ts = period_bounds(first if last is None else last)[1]
     if (start_ts - grid.t0) % grid.step != 0 or (end_ts - start_ts) % grid.step != 0:
         raise DataError("period not aligned with grid time step")
     k0 = (start_ts - grid.t0) // grid.step
@@ -199,12 +203,7 @@ def _stamp_slice(grid: WindGrid, start_ts: int, end_ts: int) -> tuple[int, int]:
 
 
 def _study_slice(grid: WindGrid, study_span) -> tuple[int, int]:
-    if study_span is None:
-        return 0, grid.n_time
-    y0, y1 = study_span
-    start = period_bounds(y0)[0]
-    end = period_bounds(y1)[1]
-    return _stamp_slice(grid, start, end)
+    return (0, grid.n_time) if study_span is None else _stamp_slice(grid, *study_span)
 
 
 def _block_bounds(grid: WindGrid, k0: int, k1: int) -> np.ndarray:
@@ -240,11 +239,6 @@ def _turbine_heights(turbines: TurbineColumns, height_mode) -> np.ndarray:
     return np.full(len(turbines), h)
 
 
-def _check_climate_mode(climate_mode: str) -> None:
-    if climate_mode not in ("actual", "long_term_average"):
-        raise ValueError(f"unknown climate mode {climate_mode!r}")
-
-
 @dataclass
 class CubeSums:
     """Σ v³ per evaluation height, stamp block and turbine, from one pass.
@@ -256,30 +250,22 @@ class CubeSums:
     turbine.
     """
 
-    grid: WindGrid
-    turbines: TurbineColumns
     bounds: np.ndarray
     sums: np.ndarray
     calm_hours: int
     scale: np.ndarray
 
-    def fleet_pin(self, height: int, period, climate_mode: str = "actual") -> float:
-        """Fleet kinetic input power over ``period`` at the ``height``-th
-        evaluation height, in watts: Σ weight · ½·rho·A · Σ v³ / stamps.
-
-        ``actual`` sums the period's blocks; ``long_term_average`` takes
-        each turbine's mean over the whole pass.  The sum over turbines is
-        correctly rounded (``math.fsum``), so it does not depend on order.
+    def fleet_pin(self, height: int, stamps: tuple[int, int], weights: np.ndarray) -> float:
+        """Σ weight · ½·rho·A · Σ v³ / stamps, in watts, over grid stamps
+        [k0, k1) at the ``height``-th evaluation height, with one weight per
+        turbine.  The sum over turbines is correctly rounded (``math.fsum``),
+        so it does not depend on order.
         """
-        _check_climate_mode(climate_mode)
-        k0, k1 = _stamp_slice(self.grid, *period_bounds(period))
-        if climate_mode == "long_term_average":
-            k0, k1 = self.bounds[0], self.bounds[-1]
+        k0, k1 = stamps
         c0, c1 = np.searchsorted(self.bounds, (k0, k1))
         if c1 >= len(self.bounds) or self.bounds[c0] != k0 or self.bounds[c1] != k1:
-            raise ValueError(f"period {period} is not a span of the pass's blocks")
+            raise ValueError(f"stamps {k0}..{k1} are not a span of the pass's blocks")
         total = self.sums[height, c0:c1].sum(axis=0)
-        weights = operating_weights(self.turbines, period_year(period))
         return math.fsum((weights * self.scale * (total / (k1 - k0))).tolist())
 
 
@@ -319,34 +305,16 @@ def cube_sums(grid: WindGrid, turbines: Iterable[TurbineRecord], height_modes,
     sums = np.empty((len(shear), len(inputs.bounds) - 1, len(turbines)))
     if parts:
         sums[:, :, order] = np.concatenate([s for s, _ in parts], axis=2)
-    return CubeSums(grid, turbines, inputs.bounds, sums, sum(c for _, c in parts),
-                    0.5 * RHO * areas)
+    return CubeSums(inputs.bounds, sums, sum(c for _, c in parts), 0.5 * RHO * areas)
 
 
 def pin_series(grid: WindGrid, fleet: Fleet, periods,
                height_mode="hub", climate_mode: str = "actual",
                study_span: tuple[int, int] | None = None,
                workers: int = 1) -> list[float]:
-    """``aggregate_pin`` for each of ``periods``, all from one kernel pass."""
-    _check_climate_mode(climate_mode)
-    periods = list(periods)
-    if not fleet.turbines or not periods:
-        return [0.0] * len(periods)
-    stamps = [_stamp_slice(grid, *period_bounds(p)) for p in periods]
-    if climate_mode == "actual":
-        span = min(k0 for k0, _ in stamps), max(k1 for _, k1 in stamps)
-    else:
-        span = _study_slice(grid, study_span)
-    sums = cube_sums(grid, fleet.turbines, [height_mode], span, workers)
-    return [sums.fleet_pin(0, p, climate_mode) for p in periods]
-
-
-def aggregate_pin(grid: WindGrid, fleet: Fleet, period,
-                  height_mode="hub", climate_mode: str = "actual",
-                  study_span: tuple[int, int] | None = None,
-                  workers: int = 1) -> float:
-    """Fleet kinetic input power over ``period``: mean over hours of the sum
-    over turbines of ½·rho·A·v³ at the evaluation height, in watts.
+    """Fleet kinetic input power over each of ``periods``, from one kernel
+    pass: mean over hours of the sum over turbines of ½·rho·A·v³ at the
+    evaluation height, in watts.
 
     ``height_mode`` is ``"hub"`` (per-turbine hub height) or a fixed height
     in meters.  ``climate_mode`` ``"actual"`` evaluates hour by hour;
@@ -354,6 +322,27 @@ def aggregate_pin(grid: WindGrid, fleet: Fleet, period,
     mean over ``study_span`` (whole grid coverage when not given).  Turbines
     in their commissioning year contribute with weight 0.5.
     """
+    if climate_mode not in ("actual", "long_term_average"):
+        raise ValueError(f"unknown climate mode {climate_mode!r}")
+    periods = list(periods)
+    if not fleet.turbines or not periods:
+        return [0.0] * len(periods)
+    stamps = [_stamp_slice(grid, p) for p in periods]
+    if climate_mode == "actual":
+        span = min(k0 for k0, _ in stamps), max(k1 for _, k1 in stamps)
+    else:
+        span = _study_slice(grid, study_span)
+        stamps = [span] * len(periods)
+    sums = cube_sums(grid, fleet.turbines, [height_mode], span, workers)
+    return [sums.fleet_pin(0, k, operating_weights(fleet.turbines, period_year(p)))
+            for p, k in zip(periods, stamps)]
+
+
+def aggregate_pin(grid: WindGrid, fleet: Fleet, period,
+                  height_mode="hub", climate_mode: str = "actual",
+                  study_span: tuple[int, int] | None = None,
+                  workers: int = 1) -> float:
+    """``pin_series`` of one period."""
     return pin_series(grid, fleet, [period], height_mode, climate_mode,
                       study_span, workers)[0]
 
@@ -362,7 +351,7 @@ def annual_pin_series(grid: WindGrid, fleet: Fleet, years,
                       height_mode="hub", climate_mode: str = "actual",
                       study_span: tuple[int, int] | None = None,
                       workers: int = 1) -> AnnualSeries:
-    """Per-year ``aggregate_pin`` values from one kernel pass."""
+    """``pin_series`` of each of ``years``, as an annual series."""
     ys = list(years)
     if not ys:
         raise ValueError("years must be nonempty")
@@ -389,20 +378,23 @@ class ReportPin:
 
 def report_pin(grid: WindGrid, fleet: Fleet, years, reference_height: float,
                workers: int = 1) -> ReportPin:
-    """Every P_in series of a report from one kernel pass over ``years``."""
+    """Every P_in series of a report from one kernel pass over ``years``,
+    each year's reductions sharing its one operating-weight vector."""
     ys = list(years)
-    sums = cube_sums(grid, fleet.turbines, ["hub", reference_height],
-                     _study_slice(grid, (ys[0], ys[-1])), workers)
-
-    def annual(height: int, climate_mode: str) -> AnnualSeries:
-        return AnnualSeries(ys[0], [sums.fleet_pin(height, y, climate_mode) for y in ys],
-                            "W")
-
-    return ReportPin(annual=annual(0, "actual"),
-                     annual_avg=annual(0, "long_term_average"),
-                     annual_ref_avg=annual(1, "long_term_average"),
-                     monthly=[sums.fleet_pin(0, (y, m)) for y in ys for m in range(1, 13)],
-                     calm_hours=sums.calm_hours)
+    span = _stamp_slice(grid, ys[0], ys[-1])
+    sums = cube_sums(grid, fleet.turbines, ["hub", reference_height], span, workers)
+    annual, annual_avg, annual_ref_avg, monthly = [], [], [], []
+    for y in ys:
+        weights = operating_weights(fleet.turbines, y)
+        annual.append(sums.fleet_pin(0, _stamp_slice(grid, y), weights))
+        annual_avg.append(sums.fleet_pin(0, span, weights))
+        annual_ref_avg.append(sums.fleet_pin(1, span, weights))
+        monthly.extend(sums.fleet_pin(0, _stamp_slice(grid, (y, m)), weights)
+                       for m in range(1, 13))
+    return ReportPin(annual=AnnualSeries(ys[0], annual, "W"),
+                     annual_avg=AnnualSeries(ys[0], annual_avg, "W"),
+                     annual_ref_avg=AnnualSeries(ys[0], annual_ref_avg, "W"),
+                     monthly=monthly, calm_hours=sums.calm_hours)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fleet import Fleet, operating_weight, rotor_swept_area
-from .powerflux import RHO, period_bounds, period_year, _stamp_slice, _study_slice
+from .powerflux import RHO, period_year, _stamp_slice, _study_slice
 from .windgrid import WindGrid, grid_to_bytes, hub_height_speed
 
 #: cap on stamp×turbine evaluations accepted by the brute-force oracle
@@ -226,10 +226,9 @@ def brute_force_pin(grid: WindGrid, fleet: Fleet, period,
     if climate_mode not in ("actual", "long_term_average"):
         raise ValueError(f"unknown climate mode {climate_mode!r}")
     turbines = fleet.turbines
-    start_ts, end_ts = period_bounds(period)
+    k0, k1 = _stamp_slice(grid, period)
     if not turbines:
         return 0.0
-    k0, k1 = _stamp_slice(grid, start_ts, end_ts)
     if climate_mode == "long_term_average":
         sk0, sk1 = _study_slice(grid, study_span)
         evals = len(turbines) * ((sk1 - sk0) + (k1 - k0))

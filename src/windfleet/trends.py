@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .errors import DataError
 from .series import AnnualSeries, check_aligned
 
 log = logging.getLogger(__name__)
@@ -23,21 +24,34 @@ class OlsFit:
         return self.slope * x + self.intercept
 
 
+def _fsum(terms) -> float:
+    """The correctly rounded sum of ``terms`` (``math.fsum``), so the bits do
+    not depend on the Python version.  A term or a sum past the float range
+    is a data error; every fit value is finite when its sums are."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # a term overflowed, or inf - inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise DataError("a trend sum overflows the float range")
+    return total
+
+
 def _centred_sums(x, y) -> tuple[list[float], list[float], float, float, float, float, float]:
     """Both samples as floats, their means, and their centred sums of squares
     and of products: ``(xs, ys, xbar, ybar, sxx, syy, sxy)``, each sum one
-    ``sum`` in sample order."""
+    ``_fsum``."""
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
     if len(xs) != len(ys):
         raise ValueError("x and y must have equal lengths")
     if len(xs) < 2:
         raise ValueError("need at least two points")
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    sxx = sum((v - xbar) ** 2 for v in xs)
-    syy = sum((v - ybar) ** 2 for v in ys)
-    sxy = sum((a - xbar) * (b - ybar) for a, b in zip(xs, ys))
+    xbar = _fsum(xs) / len(xs)
+    ybar = _fsum(ys) / len(ys)
+    sxx = _fsum((v - xbar) ** 2 for v in xs)
+    syy = _fsum((v - ybar) ** 2 for v in ys)
+    sxy = _fsum((a - xbar) * (b - ybar) for a, b in zip(xs, ys))
     return xs, ys, xbar, ybar, sxx, syy, sxy
 
 
@@ -53,7 +67,7 @@ def ols_fit(xs, ys) -> OlsFit:
     slope = sxy / sxx
     intercept = ybar - slope * xbar
     residuals = [y - (slope * x + intercept) for x, y in zip(xs, ys)]
-    ss_res = sum(r * r for r in residuals)
+    ss_res = _fsum(r * r for r in residuals)
     r_squared = 0.0 if ss_tot == 0 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
     return OlsFit(slope, intercept, residuals, r_squared)
 
@@ -76,10 +90,10 @@ def counterfactual_efficiency(e: AnnualSeries, d_in: AnnualSeries) -> Counterfac
     check_aligned(e, d_in)
     if len(e) < 3:
         raise ValueError("need at least three years")
-    dbar = sum(d_in.values) / len(d_in)
     if all(v == d_in.values[0] for v in d_in.values):
         log.warning("input density is constant; counterfactual equals observed efficiency")
         return Counterfactual(AnnualSeries(e.start_year, list(e.values), e.unit), True)
+    dbar = _fsum(d_in.values) / len(d_in)
     fit = ols_fit(d_in.values, e.values)
     values = [ev - fit.slope * (dv - dbar) for ev, dv in zip(e.values, d_in.values)]
     return Counterfactual(AnnualSeries(e.start_year, values, e.unit), False)

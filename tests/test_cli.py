@@ -375,6 +375,40 @@ class TestDecomposeTrendsSubcommands:
     def test_trends_needs_inputs(self, tmp_path, capsys):
         assert main(["trends", "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_trends_series_overflow_is_data_error(self, tmp_path, capsys):
+        """Deviations of ~1e200 square past the float range."""
+        self.write_series(tmp_path / "s.csv", [1e200, 3e200, 2e200])
+        out = tmp_path / "fit.json"
+        assert main(["trends", "--series", str(tmp_path / "s.csv"), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "data: a trend sum overflows the float range\n"
+        assert not out.exists()
+
+    def test_trends_counterfactual_overflow_is_data_error(self, tmp_path, capsys):
+        self.write_series(tmp_path / "e.csv", [1e300, -1e300, 1e300], "dimensionless")
+        self.write_series(tmp_path / "d.csv", [1e-300, 2e-300, 3e300], "W/m²")
+        out = tmp_path / "cf.json"
+        assert main(["trends", "--efficiency", str(tmp_path / "e.csv"),
+                     "--density", str(tmp_path / "d.csv"), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "data: a trend sum overflows the float range\n"
+        assert not out.exists()
+
+    def test_decompose_underflowed_density_is_data_error(self, tmp_path, capsys):
+        """P_in/A = 1e-300/1e300 underflows to 0: extreme input, not a broken
+        identity (exit 4)."""
+        args = []
+        for flag, values, unit in (("--n", [1e300, 1e300], "count"),
+                                   ("--area", [1e300, 1e300], "m²"),
+                                   ("--pin", [1e-300, 1e-300], "W"),
+                                   ("--pout", [1e-300, 1e-300], "W")):
+            path = tmp_path / f"{flag.strip('-')}.csv"
+            self.write_series(path, values, unit)
+            args += [flag, str(path)]
+        out = tmp_path / "dec.json"
+        assert main(["decompose", *args, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "decomp: input density 0.0 outside the normal float range, year 2010\n")
+        assert not out.exists()
+
 
 class TestValidateSubcommand:
     def test_tables(self, fixture_dir, tmp_path):

@@ -207,6 +207,11 @@ READS = {
 }
 
 
+#: series values near the float limits: huge, subnormal, zero and ordinary
+POSITIVE_EXTREMES = (1e300, 1e200, 1e-310, 5e-324, 1.0)
+EXTREMES = POSITIVE_EXTREMES + (-1e300, -1e200, -1e-310, 0.0)
+
+
 def mutate(draw, data: bytes, text: bool) -> bytes:
     """``data`` truncated, with a byte flipped, a field blanked, a column
     added or a huge field; in a binary file a blanked field is four zero
@@ -260,6 +265,43 @@ class TestMutatedInputs:
             if code:
                 assert not out.exists()
                 assert file == "wind.wgrd" or not passes.called, err
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_series_near_the_float_limits(self, bundle, data):
+        """``trends`` (both modes) and ``decompose`` keep the exit contract on
+        three-year series near the float limits: overflowing sums, underflowing
+        or subnormal factors, zeros and zero variance exit 0 or 3, never 1 or 4."""
+        def series(values):
+            return "year,value,unit\n" + "".join(
+                f"{2010 + i},{v!r},W\n" for i, v in enumerate(values))
+
+        def draw(choices):
+            return data.draw(st.one_of(st.lists(st.sampled_from(choices), min_size=3,
+                                                max_size=3),
+                                       st.sampled_from(choices).map(lambda v: [v] * 3)))
+
+        name = data.draw(st.sampled_from(["trends-series", "trends-counterfactual",
+                                          "decompose"]))
+        flags = {"trends-series": ["--series"],
+                 "trends-counterfactual": ["--efficiency", "--density"],
+                 # n, area and P_in must be positive, so they draw only
+                 # positive values; P_out may take any sign
+                 "decompose": ["--n", "--area", "--pin", "--pout"]}[name]
+        with tempfile.TemporaryDirectory(dir=bundle.parent) as tmp:
+            args = [name.split("-")[0]]
+            for flag in flags:
+                path = Path(tmp) / f"{flag.strip('-')}.csv"
+                positive = name == "decompose" and flag != "--pout"
+                path.write_text(series(draw(POSITIVE_EXTREMES if positive else EXTREMES)),
+                                encoding="utf-8")
+                args += [flag, str(path)]
+            out = Path(tmp) / "out.json"
+            code, err = run(args + ["--out", str(out)])
+            event(f"{name} exit {code}")
+            assert code in (0, 3), err
+            assert "Traceback" not in err
+            assert out.exists() == (code == 0), err
 
     @pytest.mark.parametrize("column", ["p_year", "d_year"])
     def test_year_past_the_calendar(self, bundle, tmp_path, column):

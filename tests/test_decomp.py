@@ -57,6 +57,25 @@ class TestMultiplicativeDecomposition:
             multiplicative_decomposition(series([1, 0], "count"), series([1, 1], "m²"),
                                          series([1, 1]), series([1, 1]))
 
+    @pytest.mark.parametrize("n, area, p_in, p_out, message", [
+        (1e300, 1e300, 1e-300, 1e-300, "input density 0.0 "),  # underflow to 0
+        (1.0, 1e-310, 1.0, 1.0, "area per turbine 1e-310 "),  # subnormal
+        (1e-300, 1e300, 1.0, 1.0, "area per turbine inf "),  # overflow
+        (1.0, 1.0, 1e-300, 1e300, "efficiency inf "),
+    ])
+    def test_factor_outside_float_range_is_data_error(self, n, area, p_in, p_out, message):
+        """An extreme factor names its year and is a DataError; the identity
+        check's InvariantError stays for in-range factors."""
+        with pytest.raises(DataError, match=f"^{message}.*, year 2011$"):
+            multiplicative_decomposition(series([1, n], "count"), series([1, area], "m²"),
+                                         series([1, p_in]), series([1, p_out]))
+
+    def test_zero_output_is_a_zero_efficiency(self):
+        result = multiplicative_decomposition(series([2], "count"), series([200], "m²"),
+                                              series([1000]), series([0.0]))
+        assert result.factors.efficiency.values == [0.0]
+        assert result.factor_identity_error == 0.0
+
 
 class TestIndexRelative:
     def test_basic(self):

@@ -192,6 +192,54 @@ class TestAggregatePin:
         assert sums.calm_hours == 3  # once per turbine-hour, not per height
 
 
+class TestPolicyFreeReductions:
+    """``CubeSums.fleet_pin`` reduces a pass over the stamps and with the
+    weights its caller chooses; ``report_pin`` builds one weight vector a
+    study year and shares it between that year's fifteen reductions."""
+
+    YEARS = range(2010, 2015)
+
+    @staticmethod
+    def grid(n_hours):
+        rng = np.random.default_rng(16)
+        shape = (n_hours, 2, 2)
+        u10 = rng.uniform(0.0, 8.0, shape)
+        return grid_from_field(u10, rng.uniform(-2.0, 2.0, shape),
+                               u10 * rng.uniform(1.1, 1.8, shape), np.zeros(shape),
+                               lons=[-100.0, -95.0], lats=[35.0, 40.0])
+
+    def test_one_weight_vector_per_study_year(self, monkeypatch):
+        ys = self.YEARS
+        grid = self.grid(sum(hours_in_period(y) for y in ys))
+        fleet = fleet_of([turbine(f"T{i}", lon=-99.0 + i, lat=36.0 + 0.5 * i,
+                                  year=2008 + 2 * i, hub=70.0 + 10 * i) for i in range(4)])
+        calls, weights = [], powerflux.operating_weights
+        monkeypatch.setattr(powerflux, "operating_weights",
+                            lambda turbines, year: calls.append(year) or weights(turbines, year))
+        pins = powerflux.report_pin(grid, fleet, ys, 76.0)
+        assert calls == list(ys)  # 75 calls when each reduction built its own
+        monkeypatch.undo()
+        span = (ys[0], ys[-1])
+        months = [(y, m) for y in ys for m in range(1, 13)]
+        assert pins.annual.values == powerflux.pin_series(grid, fleet, ys)
+        assert pins.annual_avg.values == powerflux.pin_series(
+            grid, fleet, ys, "hub", "long_term_average", span)
+        assert pins.annual_ref_avg.values == powerflux.pin_series(
+            grid, fleet, ys, 76.0, "long_term_average", span)
+        assert pins.monthly == powerflux.pin_series(grid, fleet, months)
+
+    @pytest.mark.parametrize("stamps", [(1, 744), (0, 743), (0, 745), (744, 1488),
+                                        (-744, 744)])
+    def test_fleet_pin_rejects_a_span_that_is_not_blocks(self, stamps):
+        grid = self.grid(744)
+        recs = [turbine("A", year=2009), turbine("B", lon=-96.0, year=2010)]
+        sums = cube_sums(grid, recs, ["hub"], (0, 744))
+        weights = np.ones(len(recs))
+        assert sums.fleet_pin(0, (0, 744), weights) > 0
+        with pytest.raises(ValueError, match="not a span of the pass's blocks"):
+            sums.fleet_pin(0, stamps, weights)
+
+
 class TestFileBackedPass:
     """The pass reads a loaded grid's file one stamp block per variable."""
 

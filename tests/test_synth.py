@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import const_grid, fleet_of, grid_from_field, turbine
+from windfleet.errors import DataError
 from windfleet.fleet import parse_turbine_csv, preprocess
 from windfleet.powerflux import aggregate_pin, parse_generation_csv, pout_series
 from windfleet.synth import (SplitMix64, SynthSpec, WindModel, brute_force_pin,
@@ -146,6 +147,17 @@ class TestBruteForcePin:
 
     def test_empty_fleet(self):
         assert brute_force_pin(const_grid(n_time=744), fleet_of([]), (2010, 1)) == 0.0
+
+    def test_empty_fleet_still_validates_the_period(self):
+        with pytest.raises(ValueError, match="month 13 outside 1..12"):
+            brute_force_pin(const_grid(n_time=744), fleet_of([]), (2010, 13))
+        with pytest.raises(DataError, match="not covered"):
+            brute_force_pin(const_grid(n_time=744), fleet_of([]), (2010, 2))
+
+    def test_own_climate_mode_check(self):
+        with pytest.raises(ValueError, match="unknown climate mode 'hourly'"):
+            brute_force_pin(const_grid(n_time=744), fleet_of([]), (2010, 1),
+                            climate_mode="hourly")
 
     def test_guard(self):
         grid = const_grid(n_time=8760)

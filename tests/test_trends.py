@@ -1,8 +1,15 @@
+import json
+import os
 import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from windfleet import trends
 from windfleet.errors import DataError
 from windfleet.series import AnnualSeries
 from windfleet.trends import counterfactual_efficiency, ols_fit, pearson
@@ -164,3 +171,63 @@ class TestPearson:
             assert pearson([a * x + b for x in xs], ys) == pytest.approx(r, rel=1e-9)
             assert pearson([-x for x in xs], ys) == pytest.approx(-r, rel=1e-9)
             assert -1.0 <= r <= 1.0
+
+
+#: The float.hex of a trend fit, a Pearson r and a counterfactual series of one
+#: ten-year efficiency and density sample, computed by ``trends`` loaded
+#: without the package (which needs numpy; ``trends`` does not).  Builtin
+#: ``sum`` gives other last bits for this sample under 3.10/3.11 than under
+#: 3.12, which compensates; ``math.fsum`` gives the same on every version.
+BITS_SCRIPT = """
+import json, sys, types
+package = types.ModuleType("windfleet")
+package.__path__ = [sys.argv[1]]
+sys.modules["windfleet"] = package
+from windfleet import trends
+from windfleet.series import AnnualSeries
+e = [0.332882, 0.331494, 0.314663, 0.303355, 0.297078, 0.305313, 0.291779,
+     0.284632, 0.297993, 0.294334]
+d = [428.197, 406.29, 420.075, 419.029, 397.413, 428.07, 424.811, 455.837,
+     423.045, 417.829]
+fit = trends.ols_fit(range(2010, 2020), e)
+counterfactual = trends.counterfactual_efficiency(AnnualSeries(2010, e, "dimensionless"),
+                                                  AnnualSeries(2010, d, "W/m²"))
+print(json.dumps({"slope": fit.slope.hex(), "intercept": fit.intercept.hex(),
+                  "r_squared": fit.r_squared.hex(), "pearson": trends.pearson(e, d).hex(),
+                  "counterfactual": [v.hex() for v in counterfactual.series.values]}))
+"""
+
+EXPECTED_BITS = {
+    "slope": "-0x1.2d1a5c136de2dp-8",
+    "intercept": "0x1.31f2efe1a4cb6p+3",
+    "r_squared": "0x1.75256dad32c43p-1",
+    "pearson": "-0x1.55f015628dfc8p-2",
+    "counterfactual": ["0x1.571ab0b901e42p-2", "0x1.4db64ba8aaff1p-2",
+                       "0x1.417e292ef6455p-2", "0x1.35886803b94c6p-2",
+                       "0x1.273d7eaeec030p-2", "0x1.3ad3d01a9a805p-2",
+                       "0x1.2bc8650efd4aap-2", "0x1.2fc0c8d4e026bp-2",
+                       "0x1.3180dcd288b83p-2", "0x1.2bdbd4a60cb05p-2"],
+}
+
+
+class TestVersionIndependentBits:
+    def bits(self, python: str, env=None) -> dict:
+        package = Path(trends.__file__).parent
+        done = subprocess.run([python, "-c", BITS_SCRIPT, str(package)], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        return json.loads(done.stdout)
+
+    def test_this_python(self):
+        assert self.bits(sys.executable) == EXPECTED_BITS
+
+    @pytest.mark.parametrize("version", ["3.10", "3.11", "3.12"])
+    def test_other_python(self, version):
+        """The same bits under another interpreter on the path, when one
+        runs; it needs no numpy.  A pyenv shim runs its installed
+        ``<version>.x``."""
+        python = shutil.which(f"python{version}")
+        env = {**os.environ, "PYENV_VERSION": version}
+        if python is None or subprocess.run([python, "-c", ""], env=env,
+                                            capture_output=True).returncode:
+            pytest.skip(f"no runnable python{version}")
+        assert self.bits(python, env) == EXPECTED_BITS
