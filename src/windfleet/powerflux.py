@@ -4,9 +4,9 @@ All power values are carried in watts, energies in watt-hours, areas in m².
 One kernel pass evaluates the cubed wind speed for every turbine and stamp
 and keeps its sum per turbine and stamp block (calendar month); every fleet
 input power series is then a weighted reduction of those sums.  The pass runs
-over a fixed partition of the fleet into chunks and the reductions are
-correctly rounded, so results are bit-identical regardless of how many
-workers evaluate the chunks.
+over a fixed partition of the fleet into chunks, each prepared once per pass
+and evaluated in three [turbine × stamp] work rows; the reductions are
+correctly rounded, so results are bit-identical at any worker count.
 
 A report's annual ratios are formed in ``decomp`` and ``pipeline.power_stage``;
 ``system_efficiency`` forms the monthly efficiencies and raises the Betz warning.
@@ -81,42 +81,38 @@ class _PassInputs:
     """What every turbine chunk of one pass reads, turbines in cell order."""
 
     grid: WindGrid
-    #: [turbine, corner] flat node index lat·n_lon + lon, corners as in cell_weights
-    nodes: np.ndarray
-    #: [turbine, corner] bilinear weights
-    corners: np.ndarray
+    #: each chunk, prepared once per pass: its turbines (a slice), its distinct
+    #: flat node indices lat·n_lon + lon, ascending, and its [turbine, node]
+    #: bilinear weights over them, four nonzeros a row
+    chunks: list[tuple[slice, np.ndarray, np.ndarray]]
     #: [height, turbine] 1.5·log10(h/100) of each evaluation height
     shear: np.ndarray
     #: block edges as grid stamp indices
     bounds: np.ndarray
 
 
-def _chunk_cube_sums(inputs: _PassInputs, chunk: tuple[int, int]) -> tuple[np.ndarray, int]:
+def _chunk_cube_sums(inputs: _PassInputs, chunk: tuple) -> tuple[np.ndarray, int]:
     """Σ v³ per [height, block, turbine] of one turbine chunk, and the
     chunk's calm turbine-stamps.
 
     The bilinear blend of each variable in a block is one f64 product of the
-    chunk's [turbine × node] weight matrix, four nonzeros a row, with the
-    variable's values at the chunk's nodes.  With q = u² + v², the power-law
-    speed v100·(h/100)^α, α = log10(v100/v10), cubes to
-    exp(1.5·ln q100 + 1.5·c·(ln q100 − ln q10)), c = log10(h/100).  The blend
-    and both logarithms serve every height.  A calm stamp (q10 = 0 or
-    q100 = 0) takes zero shear: q100^1.5, which is 0 when q100 = 0.
+    chunk's weights with the variable's values at its nodes.  With
+    q = u² + v², the power-law speed v100·(h/100)^α, α = log10(v100/v10),
+    cubes to exp(1.5·ln q100 + 1.5·c·(ln q100 − ln q10)), c = log10(h/100).
+    The blend and both logarithms serve every height.  A calm stamp (q10 = 0
+    or q100 = 0) takes zero shear: q100^1.5, which is 0 when q100 = 0.  Three
+    [turbine × stamp] rows hold q10, q100 and each v² or exponent in turn.
     """
-    a, b = chunk
-    n, shear = b - a, inputs.shear[:, a:b, None]
-    nodes, local = np.unique(inputs.nodes[a:b], return_inverse=True)
-    m = len(nodes)
-    weights = np.zeros((n, m))
-    np.add.at(weights, (np.arange(n)[:, None], local.reshape(n, 4)), inputs.corners[a:b])
+    turbines, nodes, weights = chunk
+    (n, m), shear = weights.shape, inputs.shear[:, turbines, None]
     edges = inputs.bounds
     out = np.empty((len(shear), len(edges) - 1, n))
     calm = 0
     # work space of the longest block, reused by every block: one variable's
-    # values at the chunk's nodes, and u, v, q10, q100 and the cube per turbine
+    # values at the chunk's nodes, and q10, q100 and the scratch row
     longest = int(np.diff(edges).max(initial=0))
     values = np.empty(longest * m)
-    work = np.empty((5, n * longest))
+    work = np.empty((3, n * longest))
 
     def view(buf: np.ndarray, *shape: int) -> np.ndarray:
         return buf[:math.prod(shape)].reshape(shape)
@@ -125,13 +121,13 @@ def _chunk_cube_sums(inputs: _PassInputs, chunk: tuple[int, int]) -> tuple[np.nd
         for col in range(len(edges) - 1):
             k0, k1 = edges[col], edges[col + 1]
             x = view(values, k1 - k0, m)
-            u, v, q10, q100, cube = (view(buf, n, k1 - k0) for buf in work)
+            q10, q100, scratch = (view(buf, n, k1 - k0) for buf in work)
             for q, names in ((q10, ("u10", "v10")), (q100, ("u100", "v100"))):
-                for y, name in zip((u, v), names):
+                for y, name in zip((q, scratch), names):
                     for s, window in windows(name, k0, k1):
                         x[s - k0:s - k0 + len(window)] = window.take(nodes, axis=1)
                     np.square(np.matmul(weights, x.T, out=y), out=y)
-                np.add(u, v, out=q)
+                q += scratch
             with np.errstate(divide="ignore", invalid="ignore"):
                 ln100 = np.log(q100, out=q100)
                 diff = np.log(q10, out=q10)
@@ -143,10 +139,10 @@ def _chunk_cube_sums(inputs: _PassInputs, chunk: tuple[int, int]) -> tuple[np.nd
                 calm += n_calm
             ln100 *= 1.5
             for h, k in enumerate(shear):
-                np.multiply(diff, k, out=cube)
-                cube += ln100
-                np.exp(cube, out=cube)
-                out[h, col] = cube.sum(axis=1)
+                np.multiply(diff, k, out=scratch)
+                scratch += ln100
+                np.exp(scratch, out=scratch)
+                out[h, col] = scratch.sum(axis=1)
     return out, calm
 
 
@@ -170,21 +166,21 @@ def _init_worker(inputs: _PassInputs) -> None:
     _worker_inputs = inputs
 
 
-def _worker_cube_sums(chunk: tuple[int, int]) -> tuple[np.ndarray, int]:
-    return _chunk_cube_sums(_worker_inputs, chunk)
+def _worker_cube_sums(index: int) -> tuple[np.ndarray, int]:
+    return _chunk_cube_sums(_worker_inputs, _worker_inputs.chunks[index])
 
 
 def _map_chunks(inputs: _PassInputs, workers: int) -> list:
     """``_chunk_cube_sums`` of every chunk, in chunk order: in this process,
     or with ``workers > 1`` on one forked pool.  Every platform with the
     ``os.preadv`` that each file-backed read needs also has fork."""
-    chunks = _chunk_bounds(len(inputs.nodes))
+    chunks = inputs.chunks
     if workers <= 1 or len(chunks) <= 1:
         return [_chunk_cube_sums(inputs, c) for c in chunks]
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=min(workers, len(chunks)), initializer=_init_worker,
                   initargs=(inputs,)) as pool:
-        return pool.map(_worker_cube_sums, chunks)
+        return pool.map(_worker_cube_sums, range(len(chunks)))
 
 
 def _stamp_slice(grid: WindGrid, first, last=None) -> tuple[int, int]:
@@ -275,10 +271,11 @@ def cube_sums(grid: WindGrid, turbines: Iterable[TurbineRecord], height_modes,
     (``"hub"`` or a fixed height in meters) for every turbine.
 
     The pass orders the turbines by grid cell, so a chunk blends few nodes,
-    cuts them into fixed 64-turbine chunks and scatters the sums back to the
-    order of ``turbines``; with ``workers > 1`` the chunks run on one forked
-    pool.  A turbine's sums do not depend on the chunk that holds it or where
-    it runs, so every reduction is bit-identical at any worker count.
+    cuts them into fixed 64-turbine chunks prepared once, and scatters the
+    sums back to the order of ``turbines``; with ``workers > 1`` the chunks
+    run on one forked pool.  A turbine's sums do not depend on the chunk that
+    holds it or where it runs, so every reduction is bit-identical at any
+    worker count.
     """
     turbines = TurbineColumns.of(turbines)
     lon, lat = turbines.lon, turbines.lat
@@ -298,9 +295,15 @@ def cube_sums(grid: WindGrid, turbines: Iterable[TurbineRecord], height_modes,
     order = np.lexsort((i1, i0, j1, j0))
     n_lon = len(grid.lons)
     nodes = np.stack([j0 * n_lon + i0, j0 * n_lon + i1, j1 * n_lon + i0, j1 * n_lon + i1],
-                     axis=1)
-    inputs = _PassInputs(grid, nodes[order], cells[order, 4:], shear[:, order],
-                         _block_bounds(grid, *stamps))
+                     axis=1)[order]
+    corners = cells[order, 4:]
+    chunks = []
+    for a, b in _chunk_bounds(len(turbines)):
+        distinct, local = np.unique(nodes[a:b], return_inverse=True)
+        weights = np.zeros((b - a, len(distinct)))
+        np.add.at(weights, (np.arange(b - a)[:, None], local.reshape(b - a, 4)), corners[a:b])
+        chunks.append((slice(a, b), distinct, weights))
+    inputs = _PassInputs(grid, chunks, shear[:, order], _block_bounds(grid, *stamps))
     parts = _map_chunks(inputs, workers)
     sums = np.empty((len(shear), len(inputs.bounds) - 1, len(turbines)))
     if parts:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import calendar
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -165,24 +166,14 @@ def make_windgrid(spec: SynthSpec, seed: int) -> WindGrid:
     n_time = (t_end - t0) // 3600
 
     shape = (n_time, spec.n_lat, spec.n_lon)
-    u10 = np.empty(shape, dtype=np.float32)
-    u100 = np.empty(shape, dtype=np.float32)
-    if spec.wind.kind == "constant":
-        u10[:] = spec.wind.params[0]
-        u100[:] = spec.wind.params[1]
-    elif spec.wind.kind == "sinusoidal":
-        for k in range(n_time):
-            v10, v100 = _speeds_at(spec.wind, rng, k)
-            u10[k] = v10
-            u100[k] = v100
-    else:
-        # draw order fixed: time-major, then lat, then lon
-        for k in range(n_time):
-            for j in range(spec.n_lat):
-                for i in range(spec.n_lon):
-                    v10, v100 = _speeds_at(spec.wind, rng, k)
-                    u10[k, j, i] = v10
-                    u100[k, j, i] = v100
+    # one (v10, v100) pair per cell-hour for noise, drawn time-major, then
+    # lat, then lon; one per hour for sinusoidal wind; one for constant wind
+    draws = {"constant": (1, 1, 1), "sinusoidal": (n_time, 1, 1)}.get(spec.wind.kind, shape)
+    pairs = np.fromiter(itertools.chain.from_iterable(
+        _speeds_at(spec.wind, rng, k)
+        for k in range(draws[0]) for _ in range(draws[1] * draws[2])),
+        dtype=np.float32, count=2 * math.prod(draws)).reshape(*draws, 2)
+    u10, u100 = (np.broadcast_to(pairs[..., c], shape).copy() for c in (0, 1))
     zeros = np.zeros(shape, dtype=np.float32)
     return WindGrid(lons=lons, lats=lats, t0=t0, step=3600,
                     u10=u10, v10=zeros, u100=u100, v100=zeros)

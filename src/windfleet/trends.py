@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -100,9 +101,12 @@ def counterfactual_efficiency(e: AnnualSeries, d_in: AnnualSeries) -> Counterfac
 
 
 def pearson(x, y) -> float:
-    """Pearson correlation coefficient of two equally long samples."""
+    """Pearson correlation coefficient of two equally long samples.  The
+    divisor is √sxx·√syy where sxx·syy leaves the normal float range."""
     *_, sxx, syy, sxy = _centred_sums(x, y)
-    if sxx == 0 or syy == 0:
+    product = sxx * syy
+    divisor = (math.sqrt(product) if sys.float_info.min <= product < math.inf
+               else math.sqrt(sxx) * math.sqrt(syy))
+    if divisor == 0:
         raise ValueError("correlation undefined for zero-variance series")
-    r = sxy / math.sqrt(sxx * syy)
-    return min(1.0, max(-1.0, r))
+    return min(1.0, max(-1.0, sxy / divisor))

@@ -270,7 +270,8 @@ class TestReportCommand:
         map_chunks = powerflux._map_chunks
 
         def counting(inputs, workers):
-            passes.append(len(inputs.nodes) * int(inputs.bounds[-1] - inputs.bounds[0]))
+            turbines = sum(len(weights) for _, _, weights in inputs.chunks)
+            passes.append(turbines * int(inputs.bounds[-1] - inputs.bounds[0]))
             return map_chunks(inputs, workers)
 
         monkeypatch.setattr(powerflux, "_map_chunks", counting)

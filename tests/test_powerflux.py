@@ -293,6 +293,46 @@ class TestFileBackedPass:
             cube_sums(loaded, recs, ["hub"], (0, grid.n_time))
 
 
+class TestPreparedChunks:
+    """``cube_sums`` prepares each chunk once per pass: its turbines follow
+    ``_chunk_bounds``, its weight columns are its distinct nodes in ascending
+    order, and each weight row is one turbine's bilinear weights."""
+
+    @pytest.mark.parametrize("chunk", [64, 7, 149])
+    def test_chunks_of_a_pass(self, monkeypatch, chunk):
+        grid, recs = TestFileBackedPass.grid_and_turbines()
+        passes = []
+        map_chunks = powerflux._map_chunks
+
+        def capturing(inputs, workers):
+            passes.append(inputs)
+            return map_chunks(inputs, workers)
+
+        monkeypatch.setattr(powerflux, "_map_chunks", capturing)
+        monkeypatch.setattr(powerflux, "CHUNK_TURBINES", chunk)
+        cube_sums(grid, recs, ["hub"], (0, grid.n_time))
+        [inputs] = passes
+        bounds = [(turbines.start, turbines.stop) for turbines, _, _ in inputs.chunks]
+        assert bounds == powerflux._chunk_bounds(len(recs))
+        node_lon = np.tile(grid.lons, len(grid.lats))
+        node_lat = np.repeat(grid.lats, len(grid.lons))
+        blended = []
+        for turbines, nodes, weights in inputs.chunks:
+            assert weights.shape == (turbines.stop - turbines.start, len(nodes))
+            assert np.all(np.diff(nodes) > 0)
+            assert np.all(np.count_nonzero(weights, axis=1) <= 4)
+            assert np.allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            blended.append(np.stack([weights @ node_lon[nodes], weights @ node_lat[nodes]],
+                                    axis=1))
+        # the rows blend the grid's node coordinates back to the turbines'
+        # positions, compared sorted because the pass orders turbines by cell
+        blended = np.concatenate(blended)
+        positions = np.asarray([(r.lon, r.lat) for r in recs])
+        for points in (blended, positions):
+            points[:] = points[np.lexsort(points.T[::-1])]
+        assert np.allclose(blended, positions, rtol=1e-12, atol=1e-9)
+
+
 class TestWindowedReads:
     """The load and the pass read a file in windows of whole stamps, never
     more than ``WINDOW_VALUES`` values unless one stamp is larger."""

@@ -9,8 +9,8 @@ from windfleet.errors import DataError
 from windfleet.fleet import parse_turbine_csv, preprocess
 from windfleet.powerflux import aggregate_pin, parse_generation_csv, pout_series
 from windfleet.synth import (SplitMix64, SynthSpec, WindModel, brute_force_pin,
-                             generate_fleet, generate_generation,
-                             generate_windgrid)
+                             _speeds_at, generate_fleet, generate_generation,
+                             generate_windgrid, make_windgrid)
 from windfleet.windgrid import grid_from_bytes
 
 
@@ -89,6 +89,31 @@ class TestGenerateWindgrid:
                        n_lat=2, n_lon=2)
         grid = grid_from_bytes(generate_windgrid(spec, 13))
         assert (grid.u100 >= 0).all()
+
+    @pytest.mark.parametrize("wind", [WindModel("constant", (5.5, 9.25)),
+                                      WindModel("sinusoidal", (6.0, 7.0, 30.0)),
+                                      WindModel("noise", (4.0, 3.0))],
+                             ids=lambda w: w.kind)
+    def test_matches_a_per_stamp_fill(self, wind):
+        """The grid equals one filled a stamp (or, for noise, a cell-hour)
+        at a time with the same ``_speeds_at`` draws, in time-lat-lon order."""
+        spec = spec_of(wind=wind, years=(2010, 2010), n_lat=2, n_lon=3)
+        rng = SplitMix64(21)
+        shape = (8760, 2, 3)
+        u10, u100 = np.empty(shape, np.float32), np.empty(shape, np.float32)
+        for k in range(shape[0]):
+            if wind.kind != "noise":
+                u10[k], u100[k] = _speeds_at(wind, rng, k)
+                continue
+            for j in range(shape[1]):
+                for i in range(shape[2]):
+                    u10[k, j, i], u100[k, j, i] = _speeds_at(wind, rng, k)
+        grid = make_windgrid(spec, 21)
+        for name, expected in (("u10", u10), ("u100", u100)):
+            actual = getattr(grid, name)
+            assert actual.dtype == np.float32 and actual.flags.c_contiguous
+            assert actual.tobytes() == expected.tobytes(), name
+        assert not grid.v10.any() and not grid.v100.any()
 
     def test_bad_model(self):
         with pytest.raises(ValueError):

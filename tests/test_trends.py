@@ -157,6 +157,18 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1.0, 2.0], [1.0])
 
+    @pytest.mark.parametrize("scale", [1e100, 1e-160])
+    def test_sums_whose_product_leaves_the_float_range(self, scale):
+        # sxx·syy overflows to inf at 1e100 and underflows to 0 at 1e-160,
+        # while sxx and syy stay finite and nonzero
+        xs = [0.0, scale, 2 * scale]
+        assert pearson(xs, xs) == 1.0
+        assert pearson(xs, [-x for x in xs]) == -1.0
+
+    def test_squares_that_underflow_are_zero_variance(self):
+        with pytest.raises(ValueError, match="zero-variance"):
+            pearson([0.0, 1e-170, 2e-170], [0.0, 1.0, 2.0])
+
     def test_affine_invariance_and_sign_flip(self):
         rng = random.Random(41)
         for _ in range(30):
