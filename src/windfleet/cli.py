@@ -8,8 +8,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import csvinput, pipeline, powerflux, synth, trends, windgrid
-from . import fleet as fleet_mod
+from . import csvinput, pipeline
 from .errors import EXIT_OK, ConfigError, DataError
 from .pipeline import PipelineError
 from .series import AnnualSeries, dense_series
@@ -51,11 +50,13 @@ def _height(raw: str) -> str | float:
     return height
 
 
-def _wind_model(raw: str) -> synth.WindModel:
+def _wind_model(raw: str):
+    from .synth import WindModel
+
     kind, _, rest = raw.partition(":")
     try:
         params = tuple(float(p) for p in rest.split(",")) if rest else ()
-        return synth.WindModel(kind, params)
+        return WindModel(kind, params)
     except ValueError as exc:
         raise ConfigError(f"bad wind model {raw!r}: {exc}") from None
 
@@ -109,6 +110,9 @@ def _write_series_csv(path, series: AnnualSeries) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
+    from . import fleet as fleet_mod
+    from . import powerflux, synth, windgrid
+
     n_lat, n_lon = _pair(args.grid, "grid", int, "x")
     try:
         spec = synth.SynthSpec(
@@ -161,6 +165,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_convert_grid(args) -> int:
+    from . import windgrid
+
     t0 = _parse_timestamp(args.start_time)
     if args.step <= 0:
         raise ConfigError("step must be positive")
@@ -172,6 +178,8 @@ def _cmd_convert_grid(args) -> int:
 
 
 def _cmd_pin(args) -> int:
+    from . import powerflux, windgrid
+
     start, end = _year_span(args.years)
     height = _height(args.height)
     climate = {"actual": "actual", "average": "long_term_average"}[args.climate]
@@ -202,7 +210,8 @@ def _cmd_decompose(args) -> int:
         p_in_avg = _read_series_csv(args.pin_avg)
         p_in_ref_avg = _read_series_csv(args.pin_ref_avg)
     result = pipeline.decomposition_stage(n, area, p_in, p_out,
-                                          args.base_year or n.start_year,
+                                          n.start_year if args.base_year is None
+                                          else args.base_year,
                                           p_in_avg, p_in_ref_avg)
     Path(args.out).write_text(pipeline.json_text(pipeline.decomposition_json(result)),
                               encoding="utf-8")
@@ -211,6 +220,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_trends(args) -> int:
+    from . import trends
+
     if args.efficiency and args.density:
         e = _read_series_csv(args.efficiency)
         d = _read_series_csv(args.density)

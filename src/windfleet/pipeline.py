@@ -22,12 +22,16 @@ import shutil
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import decomp, powerflux, svgplot, trends, validate, windgrid
 from . import fleet as fleet_mod
+from . import validate
 from .errors import (EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL, ConfigError,
                      DataError, InvariantError)
 from .series import AnnualSeries
+
+if TYPE_CHECKING:  # the report-only modules are imported where they run
+    from . import decomp, powerflux, trends
 
 log = logging.getLogger(__name__)
 
@@ -273,6 +277,8 @@ def load_reference(path, years: range) -> AnnualSeries | None:
 def load_generation(path, years: range) -> powerflux.MonthlySeries:
     """Monthly net generation, checked to cover every month of the study
     years, so a bad generation file fails before the wind grid is read."""
+    from . import powerflux
+
     with stage("generation"):
         energy = powerflux.parse_generation_csv(Path(path).read_bytes())
         for year in years:
@@ -346,6 +352,8 @@ def power_stage(config: RunConfig, fleet: FleetSeries,
                 energy: powerflux.MonthlySeries) -> PowerSeries:
     """P_in from one kernel pass over the grid, P_out from ``load_generation``'s
     series; ``fleet_stage`` has made every area and capacity positive."""
+    from . import powerflux, windgrid
+
     years = config.years
     with stage("windgrid"):
         grid = windgrid.load_windgrid(config.windgrid)
@@ -386,6 +394,8 @@ def decomposition_stage(n: AnnualSeries, area: AnnualSeries, p_in: AnnualSeries,
                         ) -> decomp.DecompositionResult:
     """The four factors, indexed to ``base_year``, and, given both long-term
     average input powers, the additive input-density effects."""
+    from . import decomp
+
     with stage("decomp"):
         result = decomp.multiplicative_decomposition(n, area, p_in, p_out)
         decomp.indexed_factors(result, base_year)
@@ -413,6 +423,8 @@ class TrendResult:
 
 def trends_stage(power: PowerSeries, factors: decomp.FactorSeries) -> TrendResult:
     """Trends of output density and the decomposition's density and efficiency."""
+    from . import trends
+
     with stage("trends"):
         years = list(factors.efficiency.years)
         fits = {
@@ -645,6 +657,8 @@ def _write_bundle(staging: Path, report: dict, series: dict[str, AnnualSeries | 
 def emit_plots(power: PowerSeries, result: decomp.DecompositionResult, trend: TrendResult,
                checks: Validation, segments) -> dict[str, str]:
     """One SVG per result display; every chart's data also exists as CSV."""
+    from . import svgplot
+
     years = result.years
     plots: dict[str, str] = {}
 

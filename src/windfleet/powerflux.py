@@ -6,7 +6,9 @@ and keeps its sum per turbine and stamp block (calendar month); every fleet
 input power series is then a weighted reduction of those sums.  The pass runs
 over a fixed partition of the fleet into chunks, each prepared once per pass
 and evaluated in three [turbine × stamp] work rows; the reductions are
-correctly rounded, so results are bit-identical at any worker count.
+correctly rounded, so results are bit-identical at any worker count.  A pass
+holds one result array, [height × block × turbine]: each chunk's sums are
+written into it as the chunk finishes.
 
 A report's annual ratios are formed in ``decomp`` and ``pipeline.power_stage``;
 ``system_efficiency`` forms the monthly efficiencies and raises the Betz warning.
@@ -16,10 +18,9 @@ from __future__ import annotations
 
 import calendar
 import math
-import multiprocessing
 import time
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,17 +171,22 @@ def _worker_cube_sums(index: int) -> tuple[np.ndarray, int]:
     return _chunk_cube_sums(_worker_inputs, _worker_inputs.chunks[index])
 
 
-def _map_chunks(inputs: _PassInputs, workers: int) -> list:
-    """``_chunk_cube_sums`` of every chunk, in chunk order: in this process,
-    or with ``workers > 1`` on one forked pool.  Every platform with the
-    ``os.preadv`` that each file-backed read needs also has fork."""
+def _map_chunks(inputs: _PassInputs, workers: int) -> Iterator[tuple[np.ndarray, int]]:
+    """``_chunk_cube_sums`` of every chunk, yielded in chunk order as each
+    finishes: in this process, or with ``workers > 1`` on one forked pool.
+    Every platform with the ``os.preadv`` that each file-backed read needs
+    also has fork."""
     chunks = inputs.chunks
     if workers <= 1 or len(chunks) <= 1:
-        return [_chunk_cube_sums(inputs, c) for c in chunks]
+        for c in chunks:
+            yield _chunk_cube_sums(inputs, c)
+        return
+    import multiprocessing
+
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=min(workers, len(chunks)), initializer=_init_worker,
                   initargs=(inputs,)) as pool:
-        return pool.map(_worker_cube_sums, range(len(chunks)))
+        yield from pool.imap(_worker_cube_sums, range(len(chunks)))
 
 
 def _stamp_slice(grid: WindGrid, first, last=None) -> tuple[int, int]:
@@ -271,11 +277,11 @@ def cube_sums(grid: WindGrid, turbines: Iterable[TurbineRecord], height_modes,
     (``"hub"`` or a fixed height in meters) for every turbine.
 
     The pass orders the turbines by grid cell, so a chunk blends few nodes,
-    cuts them into fixed 64-turbine chunks prepared once, and scatters the
-    sums back to the order of ``turbines``; with ``workers > 1`` the chunks
-    run on one forked pool.  A turbine's sums do not depend on the chunk that
-    holds it or where it runs, so every reduction is bit-identical at any
-    worker count.
+    cuts them into fixed 64-turbine chunks prepared once, and scatters each
+    chunk's sums into the result, in the order of ``turbines``, as the chunk
+    finishes; with ``workers > 1`` the chunks run on one forked pool.  A
+    turbine's sums do not depend on the chunk that holds it or where it runs,
+    so every reduction is bit-identical at any worker count.
     """
     turbines = TurbineColumns.of(turbines)
     lon, lat = turbines.lon, turbines.lat
@@ -304,11 +310,12 @@ def cube_sums(grid: WindGrid, turbines: Iterable[TurbineRecord], height_modes,
         np.add.at(weights, (np.arange(b - a)[:, None], local.reshape(b - a, 4)), corners[a:b])
         chunks.append((slice(a, b), distinct, weights))
     inputs = _PassInputs(grid, chunks, shear[:, order], _block_bounds(grid, *stamps))
-    parts = _map_chunks(inputs, workers)
     sums = np.empty((len(shear), len(inputs.bounds) - 1, len(turbines)))
-    if parts:
-        sums[:, :, order] = np.concatenate([s for s, _ in parts], axis=2)
-    return CubeSums(inputs.bounds, sums, sum(c for _, c in parts), 0.5 * RHO * areas)
+    calm = 0
+    for (part, n_calm), (rows, _, _) in zip(_map_chunks(inputs, workers), chunks):
+        sums[:, :, order[rows]] = part
+        calm += n_calm
+    return CubeSums(inputs.bounds, sums, calm, 0.5 * RHO * areas)
 
 
 def pin_series(grid: WindGrid, fleet: Fleet, periods,

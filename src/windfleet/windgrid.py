@@ -13,8 +13,9 @@ the finite check of ``WindGrid.validate`` (which ``load_windgrid`` runs) and
 the kernel pass.  An in-memory grid's windows are views; a file's are
 positioned reads into one reused buffer.  A loaded payload stays on disk,
 mapped read-only, so a report holds the interpreter, numpy and its BLAS, the
-window and one turbine chunk's work arrays: its memory grows neither with the
-file size nor with the grid's node count.
+window, one turbine chunk's work arrays and the pass's one result array of
+sums per [height × block × turbine]: its memory grows neither with the file
+size nor with the grid's node count.
 """
 
 from __future__ import annotations

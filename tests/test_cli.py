@@ -339,6 +339,21 @@ class TestDecomposeTrendsSubcommands:
         assert main(["decompose", *args, "--out", str(dec)]) == 0
         assert json.loads(dec.read_text()) == report["decomposition"]
 
+    @pytest.mark.parametrize("base_year", ["0", "1999"])
+    def test_decompose_base_year_outside_series_is_data_error(self, tmp_path, capsys,
+                                                               base_year):
+        args = []
+        for flag, values in (("--n", [2, 4, 6]), ("--area", [200, 400, 600]),
+                             ("--pin", [1000, 2200, 3000]), ("--pout", [100, 230, 290])):
+            path = tmp_path / f"{flag.strip('-')}.csv"
+            self.write_series(path, values)
+            args += [flag, str(path)]
+        out = tmp_path / "dec.json"
+        assert main(["decompose", *args, "--base-year", base_year, "--out", str(out)]) == 3
+        assert (capsys.readouterr().err
+                == f"decomp: year {base_year} outside series 2010..2012\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("given", ["--pin-avg", "--pin-ref-avg"])
     def test_decompose_one_additive_input_is_config_error(self, tmp_path, capsys, given):
         args = []

@@ -465,6 +465,29 @@ class TestBoundedMemory:
             assert child["load_kb"] < 1024, children
         assert abs(children[90]["growth_kb"] - children[30]["growth_kb"]) < 1024, children
 
+    def test_pass_holds_one_result_array(self):
+        # daily stamps over 2010-2019: 120 month blocks at two heights, so the
+        # result outweighs every per-chunk array; a pass that kept each
+        # chunk's sums and concatenated them would peak near three results
+        import tracemalloc
+
+        n = 3652
+        rng = np.random.default_rng(3)
+        u = rng.random((n, 2, 2), dtype=np.float32) * 10.0 + 2.0
+        zeros = np.zeros_like(u)
+        grid = grid_from_field(u, zeros, 1.2 * u, zeros, lons=(-100.0, -95.0),
+                               lats=(35.0, 40.0), step=86400)
+        recs = [turbine(f"T{i}", lon=-100.0 + 5.0 * x, lat=35.0 + 5.0 * y, year=2009)
+                for i, (x, y) in enumerate(rng.random((1000, 2)))]
+        tracemalloc.start()
+        try:
+            sums = cube_sums(grid, recs, ["hub", 76.0], (0, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sums.sums.shape == (2, 120, 1000)
+        assert peak < 1.6 * sums.sums.nbytes, (peak, sums.sums.nbytes)
+
 
 @st.composite
 def oracle_instances(draw):
