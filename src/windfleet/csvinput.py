@@ -6,7 +6,8 @@ lone ``\\r`` outside quotes is a ``DataError`` naming its row, as is a field
 over ``csv.field_size_limit()``.  Header cells are stripped.  Data rows are
 numbered from 1 (the header is row 0), and blank rows are skipped but
 counted.  A file that does not decode raises its ``UnicodeDecodeError``
-before any other error.
+before any other error.  A table is read from bytes or from a binary file, as
+a stream: only the rows being checked are held.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import io
 import itertools
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
+from typing import BinaryIO
 
 import numpy as np
 
@@ -23,13 +25,18 @@ from .errors import DataError
 
 #: rows read and checked at a time
 BLOCK_ROWS = 1024
+#: bytes read at a time while a source's newlines are counted
+_COUNT_BYTES = 1 << 16
 
 
 class Table:
     """The data rows of a CSV file below its ``header``."""
 
-    def __init__(self, reader, header: list[str] | None):
+    def __init__(self, reader, header: list[str] | None, max_rows: int):
         self.header = header
+        #: the source's newline count, which the data rows never exceed: the
+        #: header ends at a newline, and only the last row may end without one
+        self.max_rows = max_rows
         self.count = 0  # nonblank rows read so far
         self._reader = reader
 
@@ -72,29 +79,39 @@ class Table:
 
 
 @contextmanager
-def table(data: bytes, what: str = "",
+def table(source: bytes | BinaryIO, what: str = "",
           columns: Sequence[str] | None = None) -> Iterator[Table]:
-    """Read ``data`` as a CSV table.  With ``columns``, the header must be
-    exactly those names and at least one data row must follow.  Every error
-    raised while the table is open, by the reader or by the caller's own
-    checks, yields to a decode error anywhere in ``data``."""
+    """Read ``source``, bytes or a binary file from its position on, as a CSV
+    table.  With ``columns``, the header must be exactly those names and at
+    least one data row must follow.  Every error raised while the table is
+    open, by the reader or by the caller's own checks, yields to a decode
+    error anywhere in ``source``: on that path alone the whole source is
+    read again, so the decode error names its byte offset."""
+    binary = io.BytesIO(source) if isinstance(source, bytes) else source
+    start = binary.tell()
+    newlines = sum(chunk.count(b"\n")
+                   for chunk in iter(lambda: binary.read(_COUNT_BYTES), b""))
+    binary.seek(start)
+    text = io.TextIOWrapper(binary, encoding="utf-8", newline="\n")
     try:
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n") as text:
-            reader = csv.reader(text)
-            try:
-                header = next(reader, None)
-            except csv.Error as exc:
-                raise _row_error(exc, 0) from None
-            header = None if header is None else [h.strip() for h in header]
-            if columns is not None and header != list(columns):
-                raise DataError(f"{what} CSV header must be {','.join(columns)}")
-            rows = Table(reader, header)
-            yield rows
-            if columns is not None and not rows.count:
-                raise DataError(f"no {what} data")
+        reader = csv.reader(text)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise _row_error(exc, 0) from None
+        header = None if header is None else [h.strip() for h in header]
+        if columns is not None and header != list(columns):
+            raise DataError(f"{what} CSV header must be {','.join(columns)}")
+        rows = Table(reader, header, newlines)
+        yield rows
+        if columns is not None and not rows.count:
+            raise DataError(f"no {what} data")
     except (DataError, UnicodeDecodeError):
-        data.decode("utf-8")  # text that does not decode fails first, at its byte offset
+        binary.seek(start)
+        binary.read().decode("utf-8")  # text that does not decode fails first, at its byte offset
         raise
+    finally:
+        text.detach()  # the caller's file stays open
 
 
 def _row_error(exc: csv.Error, row_no: int) -> DataError:

@@ -10,17 +10,25 @@ In memory the registry is one ``TurbineColumns`` table: every field is an
 array in registry order, and parsing, merging, imputation and every annual
 reduction are array operations on it.  ``TurbineRecord`` is the one-turbine
 view that the table builds on demand.
+
+The ingest holds one table at a time.  ``parse_turbine_csv`` streams the CSV
+into columns sized once, from the file's newline count, and returns a
+writable table; ``merge_extension`` and ``preprocess`` change a writable
+table in place, a column at a time, and a ``Fleet`` makes its table
+read-only.
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
 import itertools
 import logging
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from typing import BinaryIO
 
 import numpy as np
 
@@ -39,6 +47,9 @@ IMPUTABLE_FIELDS = ("hub_height", "rotor_diameter", "capacity")
 #: ``is_decommissioned`` values after strip and lower-case; others are errors
 _BOOLEANS = {"": False, "false": False, "f": False, "0": False, "no": False,
              "true": True, "t": True, "1": True, "yes": True}
+
+#: ids hashed at a time while extension ids are looked up in the registry
+_HASH_ROWS = 4096
 
 #: commissioning or decommissioning year standing in for a missing one:
 #: later than any year
@@ -72,8 +83,11 @@ class TurbineColumns(Sequence):
 
     Missing numbers are NaN and missing years ``_NEVER``; ``imputed`` has
     one boolean column per ``IMPUTABLE_FIELDS`` entry.  The table is a
-    read-only sequence of records: ``len``, an integer index and iteration
-    build ``TurbineRecord``s on demand, and a slice is a table.
+    sequence of records: ``len``, an integer index and iteration build
+    ``TurbineRecord``s on demand, and a slice is a read-only table sharing
+    the columns' memory.  A writable table is the ingest's own, which its
+    stages change in place (see the module docstring); a read-only one is
+    never changed.
     """
 
     id: np.ndarray  # object: str
@@ -86,10 +100,6 @@ class TurbineColumns(Sequence):
     decommissioned_flag: np.ndarray  # bool
     decommissioning_year: np.ndarray  # int64
     imputed: np.ndarray  # bool, [turbine, imputable field]
-
-    def __post_init__(self):
-        for column in self._columns():
-            column.flags.writeable = False
 
     def _columns(self) -> list[np.ndarray]:
         return [getattr(self, f.name) for f in fields(self)]
@@ -119,14 +129,24 @@ class TurbineColumns(Sequence):
             np.array([[f in r.imputed_fields for f in IMPUTABLE_FIELDS] for r in recs],
                      dtype=bool).reshape(n, len(IMPUTABLE_FIELDS)))
 
-    @classmethod
-    def concat(cls, tables: list["TurbineColumns"]) -> "TurbineColumns":
-        return cls(*(np.concatenate(columns)
-                     for columns in zip(*(t._columns() for t in tables))))
+    def _frozen(self) -> "TurbineColumns":
+        """The table, read-only from now on."""
+        for column in self._columns():
+            column.flags.writeable = False
+        return self
 
-    def take(self, index) -> "TurbineColumns":
-        """The turbines at ``index`` (a slice, indices or a boolean mask)."""
-        return TurbineColumns(*(column[index] for column in self._columns()))
+    def _owned(self) -> "TurbineColumns":
+        """The table if it is writable, the ingest's own; else a writable copy."""
+        if all(column.flags.writeable for column in self._columns()):
+            return self
+        return TurbineColumns(*(column.copy() for column in self._columns()))
+
+    def _rebuild(self, column_of: Callable[[str, np.ndarray], np.ndarray]) -> None:
+        """Replace each column of an owned table by ``column_of(name,
+        column)``, one at a time, so that at most one old column is held
+        beside the new ones."""
+        for f in fields(self):
+            object.__setattr__(self, f.name, column_of(f.name, getattr(self, f.name)))
 
     def imputed_mask(self, name: str) -> np.ndarray:
         return self.imputed[:, IMPUTABLE_FIELDS.index(name)]
@@ -136,7 +156,7 @@ class TurbineColumns(Sequence):
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return self.take(key)
+            return TurbineColumns(*(column[key] for column in self._columns()))._frozen()
         i = range(len(self))[key]
         return next(self._records(slice(i, i + 1)))
 
@@ -164,14 +184,15 @@ class TurbineColumns(Sequence):
 class Fleet:
     """Preprocessed registry: every turbine has a commissioning year and
     (possibly imputed) hub height, rotor diameter and capacity.  Records
-    given as ``turbines`` are converted to a table once, here."""
+    given as ``turbines`` are converted to a table once, here, and the table
+    is read-only from then on."""
 
     turbines: TurbineColumns
     provenance: dict[str, int]
     imputation: "ImputationReport"
 
     def __post_init__(self):
-        self.turbines = TurbineColumns.of(self.turbines)
+        self.turbines = TurbineColumns.of(self.turbines)._frozen()
 
 
 @dataclass
@@ -202,23 +223,32 @@ class ScenarioSpec:
             raise ValueError("lifetime_years must be positive")
 
 
-def parse_turbine_csv(data: bytes) -> TurbineColumns:
-    """Parse a turbine registry CSV (``csvinput``'s format) into a table.
+def parse_turbine_csv(source: bytes | BinaryIO) -> TurbineColumns:
+    """Parse a turbine registry CSV (``csvinput``'s format), bytes or a binary
+    file, into a writable table.
 
     Unknown extra columns are ignored; the required columns may appear in any
     order.  Rows are read and checked ``csvinput.BLOCK_ROWS`` at a time, each
-    block as arrays; the first failing row raises.
+    block as arrays, and copied into columns allocated once for the source's
+    newline count; the first failing row raises.
     """
-    with csvinput.table(data) as table:
+    with csvinput.table(source) as table:
         if table.header is None:
             raise DataError("empty turbine CSV")
         missing = [c for c in REQUIRED_COLUMNS if c not in table.header]
         if missing:
             raise DataError(f"turbine CSV missing columns: {', '.join(missing)}")
         col = {name: table.header.index(name) for name in REQUIRED_COLUMNS}
-        tables = [_parse_rows(rows, row_nos, col)
-                  for row_nos, rows in table.blocks()]
-    return TurbineColumns.concat(tables) if tables else TurbineColumns.of([])
+        columns = [np.empty((table.max_rows, *c.shape[1:]), c.dtype)  # an empty table's dtypes
+                   for c in TurbineColumns.of([])._columns()]
+        n = 0
+        # starmap holds no block's rows while the next block is read
+        for block in itertools.starmap(functools.partial(_parse_rows, col=col),
+                                       table.blocks()):
+            for column, values in zip(columns, block._columns()):
+                column[n:n + len(block)] = values
+            n += len(block)
+    return TurbineColumns(*(column[:n] for column in columns))
 
 
 def _floats(raw: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,7 +273,7 @@ def _floats(raw: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return values, blank, rejected
 
 
-def _parse_rows(rows: list[list[str]], row_nos: np.ndarray,
+def _parse_rows(row_nos: np.ndarray, rows: list[list[str]],
                 col: dict[str, int]) -> TurbineColumns:
     """The table of nonblank rows of the right length, or the first failing
     row's error: each row's checks run in a fixed order, as masks."""
@@ -314,7 +344,7 @@ def _first_duplicate(ids: np.ndarray) -> str | None:
     equal hashes, so sorted hashes rule duplicates out without a set of
     every id, which would cost more than the ids themselves."""
     hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
-    hashes = hashes[np.argsort(hashes)]  # argsort, as np.unique: one sort's code paged in
+    hashes.sort()
     if not (hashes[1:] == hashes[:-1]).any():
         return None
     seen: set[str] = set()
@@ -325,32 +355,54 @@ def _first_duplicate(ids: np.ndarray) -> str | None:
     return None
 
 
+def _positions(ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """For each of the distinct ``keys``, the last row of ``ids`` holding it,
+    or -1.  As in ``_first_duplicate``, sorted hashes stand in for a dict of
+    every id: ``ids`` are hashed ``_HASH_ROWS`` at a time, and only a row
+    whose hash is a key's is compared."""
+    at = np.full(len(keys), -1, np.intp)
+    key_hashes = np.fromiter(map(hash, keys), np.int64, len(keys))
+    order = np.argsort(key_hashes)
+    key_hashes = key_hashes[order]
+    for start in range(0, len(ids), _HASH_ROWS):
+        hashes = np.fromiter(map(hash, ids[start:start + _HASH_ROWS]), np.int64)
+        lo = np.searchsorted(key_hashes, hashes)
+        hi = np.searchsorted(key_hashes, hashes, "right")
+        for row in np.flatnonzero(hi > lo).tolist():
+            for k in order[lo[row]:hi[row]].tolist():  # one key, unless hashes collide
+                if keys[k] == ids[start + row]:
+                    at[k] = start + row
+    return at
+
+
 def merge_extension(base: Iterable[TurbineRecord],
                     ext: Iterable[TurbineRecord]) -> TurbineColumns:
     """Union of base registry and decommissioned-turbine extension.
 
     On duplicate ids the base record wins, except that the decommissioning
-    flag/year are filled from the extension when the base lacks them.  An id
-    that appears twice in the extension is an error.
+    flag/year are filled from the extension when the base lacks them; the
+    extension's other turbines follow the base's, in extension order.  An id
+    that appears twice in the extension is an error.  A writable ``base``
+    table is merged in place and returned; any other ``base`` is copied.
     """
-    base, ext = TurbineColumns.of(base), TurbineColumns.of(ext)
+    ext = TurbineColumns.of(ext)
     if (duplicate := _first_duplicate(ext.id)) is not None:
         raise DataError(f"duplicate turbine id {duplicate} in extension")
-    by_id = dict(zip(base.id, range(len(base))))
-    at = np.fromiter(map(by_id.get, ext.id, itertools.repeat(-1)), np.intp, len(ext))
+    base = TurbineColumns.of(base)._owned()
+    at = _positions(base.id, ext.id)
     hit = at >= 0
     i = at[hit]
-    flag = base.decommissioned_flag.copy()
-    flag[i] |= ext.decommissioned_flag[hit]
-    d_year = base.decommissioning_year.copy()
+    flag, d_year = base.decommissioned_flag, base.decommissioning_year
+    gains_flag = ext.decommissioned_flag[hit] & ~flag[i]
     fill = d_year[i] == _NEVER
+    gains_year = fill & (ext.decommissioning_year[hit] != _NEVER)
+    flag[i[gains_flag]] = True
     d_year[i[fill]] = ext.decommissioning_year[hit][fill]
-    n_filled = int(np.count_nonzero((flag[i] != base.decommissioned_flag[i])
-                                    | (d_year[i] != base.decommissioning_year[i])))
-    new = ext.take(~hit)
-    log.info("merged extension: %d new records, %d decommissioning fills", len(new), n_filled)
-    merged = replace(base, decommissioned_flag=flag, decommissioning_year=d_year)
-    return TurbineColumns.concat([merged, new])
+    new = ~hit
+    base._rebuild(lambda name, column: np.concatenate([column, getattr(ext, name)[new]]))
+    log.info("merged extension: %d new records, %d decommissioning fills",
+             np.count_nonzero(new), np.count_nonzero(gains_flag | gains_year))
+    return base
 
 
 def check_commissioning_years(turbines: TurbineColumns) -> None:
@@ -363,38 +415,43 @@ def check_commissioning_years(turbines: TurbineColumns) -> None:
 def impute_missing(records: Iterable[TurbineRecord]
                    ) -> tuple[TurbineColumns, ImputationReport]:
     """Fill missing hub height / rotor diameter / capacity by the mean of the
-    observed values in the same commissioning year.
+    observed values in the same commissioning year, and mark them imputed.
 
     Years with no observed value fall back to the mean over all years.  A
-    field observed nowhere in the dataset is an error.  Every mean adds its
-    values in turbine order.
+    field observed nowhere in the dataset is an error, raised before any
+    value is filled.  Every mean adds its values in turbine order.  A
+    writable table is filled in place and returned; other ``records`` are
+    copied.
     """
-    table = TurbineColumns.of(records)
+    table = TurbineColumns.of(records)._owned()
     check_commissioning_years(table)
-    years, cohort = np.unique(table.commissioning_year, return_inverse=True)
+    for fname in IMPUTABLE_FIELDS:
+        if np.isnan(getattr(table, fname)).all():
+            raise DataError(f"field never observed: {fname}")
+    first = int(table.commissioning_year.min())
+    cohort = table.commissioning_year - first  # a year's bin, in year order
+    per_year = np.bincount(cohort)
     imputed_counts: dict[str, int] = {}
     fallback_years: dict[str, list[int]] = {}
-    filled = {}
 
-    for fname in IMPUTABLE_FIELDS:
+    for k, fname in enumerate(IMPUTABLE_FIELDS):
         values = getattr(table, fname)
-        observed = ~np.isnan(values)
-        n_observed = int(np.count_nonzero(observed))
-        if not n_observed:
-            raise DataError(f"field never observed: {fname}")
-        counts = np.bincount(cohort[observed], minlength=len(years))
-        # bincount adds each year's values left to right, in turbine order
-        sums = np.bincount(cohort[observed], weights=values[observed], minlength=len(years))
-        global_mean = _turbine_order_sum(values[observed]) / n_observed
+        missing = np.isnan(values)
+        blanks = cohort[missing]
+        # a blank holds 0.0 until it is filled: x + 0.0 is x, bit for bit, for
+        # every x but -0.0, which no registry value is, so these sums are the
+        # observed values' sums, each added left to right in turbine order
+        values[missing] = 0.0
+        counts = per_year - np.bincount(blanks, minlength=len(per_year))
+        sums = np.bincount(cohort, weights=values, minlength=len(per_year))
+        n_observed = len(values) - len(blanks)
+        global_mean = _turbine_order_sum(values) / n_observed
         means = np.where(counts > 0, sums / np.maximum(counts, 1), global_mean)
-        fallback_years[fname] = years[counts == 0].tolist()
-        imputed_counts[fname] = len(values) - n_observed
-        filled[fname] = np.where(observed, values, means[cohort])
-
-    imputed = table.imputed | np.isnan(
-        np.stack([getattr(table, f) for f in IMPUTABLE_FIELDS], axis=1))
-    return (replace(table, imputed=imputed, **filled),
-            ImputationReport(imputed_counts, fallback_years))
+        fallback_years[fname] = (first + np.flatnonzero((per_year > 0) & (counts == 0))).tolist()
+        imputed_counts[fname] = len(blanks)
+        values[missing] = means[blanks]
+        table.imputed[:, k] |= missing
+    return table, ImputationReport(imputed_counts, fallback_years)
 
 
 def preprocess(records: Iterable[TurbineRecord],
@@ -402,7 +459,9 @@ def preprocess(records: Iterable[TurbineRecord],
     """Drop unusable records, record why, and impute the rest.
 
     Dropped: records on the exclusion list, and records with no
-    commissioning year (unusable for annual aggregation).
+    commissioning year (unusable for annual aggregation).  A writable table
+    is changed in place and becomes the fleet's; other ``records`` are
+    copied.
     """
     table = TurbineColumns.of(records)
     if (duplicate := _first_duplicate(table.id)) is not None:
@@ -414,7 +473,11 @@ def preprocess(records: Iterable[TurbineRecord],
     dropped = excluded | no_year
     if dropped.all():
         raise DataError("no usable turbines")
-    imputed, report = impute_missing(table.take(~dropped) if dropped.any() else table)
+    table = table._owned()
+    if dropped.any():
+        kept = ~dropped
+        table._rebuild(lambda name, column: column[kept])
+    imputed, report = impute_missing(table)
     provenance = {"missing_commissioning_year": int(np.count_nonzero(no_year)),
                   "excluded": int(np.count_nonzero(excluded))}
     return Fleet(turbines=imputed, provenance=provenance, imputation=report)
@@ -463,20 +526,22 @@ def operating_weights(turbines: Iterable[TurbineRecord], year: int,
     """``operating_weight`` of every turbine in ``year``, in turbine order."""
     cols = TurbineColumns.of(turbines)
     cy = cols.commissioning_year
-    weights = np.where(year < cy, 0.0, np.where(year == cy, 0.5, 1.0))
+    weights = (cy <= year).astype(np.float64)
+    weights[cy == year] = 0.5
     if scenario is not None:
         if scenario.drop_decommissioned_flagged:
             weights[cols.decommissioned_flag] = 0.0
         if scenario.lifetime_years is not None:
-            weights[year >= cy + scenario.lifetime_years] = 0.0
+            weights[cy <= year - scenario.lifetime_years] = 0.0  # no fleet-sized cy + L
     return weights
 
 
-def _turbine_order_sum(terms: np.ndarray) -> float:
+def _turbine_order_sum(terms: np.ndarray, out: np.ndarray | None = None) -> float:
     """Sum of ``terms`` added left to right, as a plain ``+=`` loop adds them
     (``np.sum`` adds pairwise, and Python 3.12's ``sum`` compensates; both
-    change the last bits)."""
-    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+    change the last bits).  The running sums go to ``out``, which may be
+    ``terms`` itself."""
+    return float(np.cumsum(terms, out=out)[-1]) if len(terms) else 0.0
 
 
 def _year_range(years) -> list[int]:
@@ -488,9 +553,17 @@ def _year_range(years) -> list[int]:
 
 def _weighted_series(fleet: Fleet, years, scenario: ScenarioSpec | None,
                      values) -> list[float]:
-    """Per year, Σ operating weight · value over the fleet in turbine order."""
-    return [_turbine_order_sum(operating_weights(fleet.turbines, y, scenario) * values)
-            for y in years]
+    """Per year, Σ operating weight · value over the fleet in turbine order.
+    Each year's terms are formed and summed in its weights' array, so a year
+    allocates one fleet-sized array: when a year freed several, the
+    allocator gave them back to the system and faulted them in again, year
+    after year."""
+    sums = []
+    for y in years:
+        terms = operating_weights(fleet.turbines, y, scenario)
+        terms *= values
+        sums.append(_turbine_order_sum(terms, out=terms))
+    return sums
 
 
 def annual_counts(fleet: Fleet, years: range) -> AnnualSeries:

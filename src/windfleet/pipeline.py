@@ -290,14 +290,18 @@ def load_generation(path, years: range) -> powerflux.MonthlySeries:
 def load_fleet(turbines, extension=None, exclusions=None) -> fleet_mod.Fleet:
     """The fleet stage's input: parse the registry, merge the decommissioning
     extension, drop the excluded ids, and preprocess (impute) the rest.
-    Missing files fail as configuration errors before anything is read."""
+    Missing files fail as configuration errors before anything is read.  The
+    CSVs are streamed, and the registry's table is merged and imputed in
+    place: one table is held at a time."""
     for name, path in (("turbines", turbines), ("extension", extension),
                        ("exclusions", exclusions)):
         _require_file(name, path)
     with stage("fleet"):
-        records = fleet_mod.parse_turbine_csv(Path(turbines).read_bytes())
+        with open(turbines, "rb") as file:
+            records = fleet_mod.parse_turbine_csv(file)
         if extension:
-            ext = fleet_mod.parse_turbine_csv(Path(extension).read_bytes())
+            with open(extension, "rb") as file:
+                ext = fleet_mod.parse_turbine_csv(file)
             records = fleet_mod.merge_extension(records, ext)
         exclusion_ids = set()
         if exclusions:

@@ -40,9 +40,9 @@ def registry_reads(monkeypatch):
     reads = []
     parse = fleet.parse_turbine_csv
 
-    def counting(data):
-        reads.append(len(data))
-        return parse(data)
+    def counting(source):
+        reads.append(source)
+        return parse(source)
 
     monkeypatch.setattr(fleet, "parse_turbine_csv", counting)
     return reads

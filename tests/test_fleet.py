@@ -1,15 +1,19 @@
+import contextlib
+import copy
 import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fleet_of, report_json, turbine
+from windfleet import fleet as fleet_mod
 from windfleet.cli import main
 from windfleet.errors import DataError
-from windfleet.fleet import (IMPUTABLE_FIELDS, ScenarioSpec, annual_capacity,
-                             annual_counts, annual_swept_area, impute_missing,
+from windfleet.fleet import (IMPUTABLE_FIELDS, ScenarioSpec, TurbineColumns,
+                             annual_capacity, annual_counts, annual_swept_area, impute_missing,
                              merge_extension, operating_weight,
                              operating_weights, parse_exclusion_ids,
                              parse_turbine_csv, preprocess, rotor_swept_area)
@@ -125,6 +129,70 @@ class TestMergeExtension:
             ("A", False, None), ("B", False, 2014), ("C", True, 2019), ("N", True, None)]
 
 
+def naive_merge(base, ext):
+    """The merge as a dict of base ids: the last of a repeated base id is
+    filled, and the extension's other records follow in extension order."""
+    seen = set()
+    for r in ext:
+        if r.id in seen:
+            raise DataError(f"duplicate turbine id {r.id} in extension")
+        seen.add(r.id)
+    merged = [copy.deepcopy(r) for r in base]
+    by_id = {r.id: i for i, r in enumerate(base)}
+    for r in ext:
+        if r.id not in by_id:
+            merged.append(copy.deepcopy(r))
+            continue
+        m = merged[by_id[r.id]]
+        m.decommissioned_flag |= r.decommissioned_flag
+        if m.decommissioning_year is None:
+            m.decommissioning_year = r.decommissioning_year
+    return merged
+
+
+@st.composite
+def merge_records(draw, max_size):
+    """Records with ids from a few names, so that base and extension overlap,
+    and any decommissioning flag, year and blanks."""
+    return [turbine(draw(st.sampled_from("ABCDEFGH")), year=draw(st.integers(2000, 2005)),
+                    hub=draw(st.none() | st.floats(50.0, 150.0)),
+                    flagged=draw(st.booleans()),
+                    d_year=draw(st.none() | st.integers(2006, 2020)),
+                    imputed=draw(st.sets(st.sampled_from(IMPUTABLE_FIELDS))))
+            for _ in range(draw(st.integers(0, max_size)))]
+
+
+class TestMergeAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(merge_records(8), merge_records(6),
+           st.sampled_from(["records", "writable table", "read-only table"]),
+           st.booleans())
+    def test_equals_dict_merge(self, base, ext, form, collide):
+        """Fills, new rows in extension order, and a repeated extension id,
+        for every form of ``base``; ``collide`` gives every id of one length
+        one hash, so that ids are told apart by comparison alone.  A
+        read-only base is left as it was."""
+        try:
+            want = naive_merge(base, ext)
+        except DataError as exc:
+            want = str(exc)
+        given_base = {"records": base, "writable table": TurbineColumns.of(base),
+                      "read-only table": TurbineColumns.of(base)[:]}[form]
+        before = list(given_base)
+        with mock.patch.object(fleet_mod, "hash", len, create=True) if collide \
+                else contextlib.nullcontext():
+            try:
+                merged = merge_extension(given_base, ext)
+                got = list(merged)
+            except DataError as exc:
+                merged, got = None, str(exc)
+        assert got == want
+        if form == "writable table" and merged is not None:
+            assert merged is given_base  # merged in place
+        if form == "read-only table":
+            assert list(given_base) == before
+
+
 class TestPreprocess:
     def test_drops_missing_commissioning_year(self):
         recs = [turbine("T1"), turbine("T2"), turbine("T3", year=None)]
@@ -147,6 +215,30 @@ class TestPreprocess:
 
     def test_parse_exclusion_ids(self):
         assert parse_exclusion_ids("T1\n\n  T2 \n") == {"T1", "T2"}
+
+    RECORDS = [turbine("T1", hub=None), turbine("T2", hub=90.0), turbine("T3", year=None)]
+
+    def test_writable_table_becomes_the_fleets(self):
+        """The ingest's table is dropped from and imputed in place, then frozen."""
+        table = TurbineColumns.of(self.RECORDS)
+        fleet = preprocess(table, set())
+        assert fleet.turbines is table
+        assert [(r.id, r.hub_height) for r in table] == [("T1", 90.0), ("T2", 90.0)]
+        assert not any(column.flags.writeable for column in table._columns())
+
+    def test_read_only_table_is_left_as_it_was(self):
+        table = fleet_of(self.RECORDS).turbines
+        fleet = preprocess(table, set())
+        assert fleet.turbines is not table
+        assert list(table) == self.RECORDS
+        assert [r.hub_height for r in fleet.turbines] == [90.0, 90.0]
+
+    def test_unobserved_field_raises_before_any_fill(self):
+        table = TurbineColumns.of([turbine("T1", hub=None, cap=None),
+                                   turbine("T2", hub=90.0, cap=None)])
+        with pytest.raises(DataError, match="field never observed: capacity"):
+            impute_missing(table)
+        assert table[0].hub_height is None
 
 
 class TestImputeMissing:

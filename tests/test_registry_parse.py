@@ -8,14 +8,16 @@ identical ``DataError`` text.
 import csv
 import io
 import math
+import tempfile
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from windfleet import csvinput
+from windfleet import csvinput, pipeline
 from windfleet.errors import DataError
 from windfleet.fleet import (REQUIRED_COLUMNS, TurbineRecord, parse_turbine_csv,
                              preprocess)
@@ -309,6 +311,69 @@ class TestErrorPrecedence:
                 parse(data)
 
 
+class TestFileForm:
+    """A binary file parses as its bytes do, from the file's position on:
+    the same table, or the same first error."""
+
+    @staticmethod
+    def outcome(source):
+        try:
+            return list(parse_turbine_csv(source))
+        except (DataError, UnicodeDecodeError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    def both(self, data, prefix=b""):
+        """The outcomes of ``data`` as bytes and as a file holding ``prefix``
+        and then ``data``, positioned after ``prefix``.  The file stays open."""
+        with tempfile.TemporaryFile() as file:
+            file.write(prefix + data)
+            file.seek(len(prefix))
+            from_file = self.outcome(file)
+            assert not file.closed
+        return self.outcome(data), from_file
+
+    @settings(max_examples=200, deadline=None)
+    @given(registries(), st.binary(max_size=6), st.integers(1, 5),
+           st.none() | st.integers(0, 2000))
+    def test_file_parses_as_its_bytes(self, data, prefix, block_rows, bad_byte_at):
+        """Row-rule errors at any block size, and an undecodable byte
+        anywhere, which is raised first, with its offset from the position."""
+        if bad_byte_at is not None:
+            at = min(bad_byte_at, len(data))
+            data = data[:at] + b"\xff" + data[at:]
+        with mock.patch.object(csvinput, "BLOCK_ROWS", block_rows):
+            from_bytes, from_file = self.both(data, prefix)
+        assert from_file == from_bytes
+
+    ROW = "T{},-97.5,37.25,2010,80,100,2000,false,"
+
+    def registry(self, *rows):
+        return "\n".join([",".join(REQUIRED_COLUMNS), *rows, ""]).encode("utf-8")
+
+    def test_decode_error_first_past_the_first_chunk(self):
+        rows = [self.ROW.format(i) for i in range(400)]
+        rows[0] = rows[0].replace(",80,", ",-80,")
+        from_bytes, from_file = self.both(self.registry(*rows) + b"\xff\n", b"skipped\n")
+        assert from_bytes.startswith("UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff")
+        assert from_file == from_bytes
+
+    @pytest.mark.parametrize("first", ["-80", "80"])
+    def test_field_limit_error_after_rows_of_its_block(self, first):
+        rows = [self.ROW.format(1).replace(",80,", f",{first},"),
+                self.ROW.format(2).replace("T2", "T" + "2" * (csv.field_size_limit() + 1))]
+        from_bytes, from_file = self.both(self.registry(*rows))
+        assert from_bytes.startswith("DataError: ")
+        assert from_file == from_bytes
+
+    def test_len_counts_data_rows_under_blank_lines_and_quoted_newlines(self):
+        """Columns are sized from the newline count, which only bounds the rows."""
+        data = (",".join(REQUIRED_COLUMNS) + "\n\n\n"
+                + '"A\nB",1,2,2010,,,,,\r\n\nC,1,2,2011,,,,,').encode("utf-8")
+        from_bytes, from_file = self.both(data)
+        assert [r.id for r in from_file] == ["A\nB", "C"]
+        assert from_file == from_bytes
+
+
 class TestBoundedMemory:
     def test_parse_and_preprocess_within_three_times_the_file(self):
         """The table costs a few times its CSV text; one record per row costs
@@ -337,3 +402,46 @@ class TestBoundedMemory:
             tracemalloc.stop()
         assert len(fleet_.turbines) == 20_000
         assert peak <= bound, f"peak {peak} B over {bound} B for a {len(data)} B file"
+
+    def test_load_fleet_from_files_within_two_and_a_half_times_the_file(self, tmp_path):
+        """Everything the registry stage allocates, the reading of both files
+        included, while it parses, merges an extension and imputes: one table
+        at a time, about 1.5 times the file, and the rows being checked.
+        Reading each file whole, concatenating per-block tables, a dict of
+        every id and a second merged table peaked at 3.3 times."""
+        spec = SynthSpec(n_turbines=20_000, years=(1990, 2019), n_lat=2, n_lon=2,
+                         wind=WindModel("constant", (8.0, 8.0)),
+                         bbox=(-125.0, -67.0, 25.0, 49.0), hub_trend=(50.0, 2.5),
+                         rotor_trend=(40.0, 3.0))
+        header, *rows = generate_fleet(spec, 7).decode("utf-8").splitlines()
+        extension = []
+        # blanks to impute, and every fiftieth turbine decommissioned through
+        # the extension only
+        for i, row in enumerate(rows, 1):
+            fields = row.split(",")
+            if i % 7 == 0:
+                fields[4] = ""
+            if i % 11 == 0:
+                fields[6] = ""
+            rows[i - 1] = ",".join(fields)
+            if i % 50 == 0:
+                extension.append(",".join(fields[:7] + ["true", str(int(fields[3]) + 12)]))
+        # and new decommissioned turbines
+        for row in generate_fleet(replace(spec, n_turbines=800), 8).decode("utf-8").splitlines()[1:]:
+            fields = row.split(",")
+            extension.append(",".join(["D" + fields[0], *fields[1:7], "true", "2020"]))
+        turbines, ext = tmp_path / "turbines.csv", tmp_path / "extension.csv"
+        turbines.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        ext.write_text("\n".join([header, *extension]) + "\n", encoding="utf-8")
+        size = turbines.stat().st_size
+        bound = 2.5 * size
+
+        tracemalloc.start()
+        try:
+            fleet_ = pipeline.load_fleet(turbines, ext)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(fleet_.turbines) == 20_800
+        assert fleet_.turbines.decommissioned_flag.sum() == 1_200
+        assert peak <= bound, f"peak {peak} B over {bound} B for a {size} B file"
