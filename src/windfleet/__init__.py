@@ -9,9 +9,10 @@ The public names below are resolved on first use, so importing one module
 import importlib
 import os
 
-# The chunk pool (--workers) is windfleet's only parallelism: one BLAS thread
-# per process unless the environment sets a thread count.  This must run
-# before numpy is first imported; it has no effect after that.
+# The chunk threads of a kernel pass (--workers) are windfleet's only
+# parallelism: each BLAS call runs on the thread that makes it unless the
+# environment sets a thread count.  This must run before numpy is first
+# imported; it has no effect after that.
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 

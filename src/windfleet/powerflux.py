@@ -7,8 +7,9 @@ input power series is then a weighted reduction of those sums.  The pass runs
 over a fixed partition of the fleet into chunks, each prepared once per pass
 and evaluated in three [turbine × stamp] work rows; the reductions are
 correctly rounded, so results are bit-identical at any worker count.  A pass
-holds one result array, [height × block × turbine]: each chunk's sums are
-written into it as the chunk finishes.
+runs in one process and holds one result array, [height × block × turbine]:
+each chunk writes its turbines' sums into it directly, whichever thread runs
+the chunk.
 
 A report's annual ratios are formed in ``decomp`` and ``pipeline.power_stage``;
 ``system_efficiency`` forms the monthly efficiencies and raises the Betz warning.
@@ -20,7 +21,7 @@ import calendar
 import math
 import time
 import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,15 +87,17 @@ class _PassInputs:
     #: flat node indices lat·n_lon + lon, ascending, and its [turbine, node]
     #: bilinear weights over them, four nonzeros a row
     chunks: list[tuple[slice, np.ndarray, np.ndarray]]
+    #: registry column of each cell-ordered turbine
+    order: np.ndarray
     #: [height, turbine] 1.5·log10(h/100) of each evaluation height
     shear: np.ndarray
     #: block edges as grid stamp indices
     bounds: np.ndarray
 
 
-def _chunk_cube_sums(inputs: _PassInputs, chunk: tuple) -> tuple[np.ndarray, int]:
-    """Σ v³ per [height, block, turbine] of one turbine chunk, and the
-    chunk's calm turbine-stamps.
+def _chunk_cube_sums(inputs: _PassInputs, sums: np.ndarray, chunk: tuple) -> int:
+    """Write Σ v³ per [height, block] of one turbine chunk into its turbines'
+    columns of ``sums``, and return the chunk's calm turbine-stamps.
 
     The bilinear blend of each variable in a block is one f64 product of the
     chunk's weights with the variable's values at its nodes.  With
@@ -106,8 +109,7 @@ def _chunk_cube_sums(inputs: _PassInputs, chunk: tuple) -> tuple[np.ndarray, int
     """
     turbines, nodes, weights = chunk
     (n, m), shear = weights.shape, inputs.shear[:, turbines, None]
-    edges = inputs.bounds
-    out = np.empty((len(shear), len(edges) - 1, n))
+    edges, columns = inputs.bounds, inputs.order[turbines]
     calm = 0
     # work space of the longest block, reused by every block: one variable's
     # values at the chunk's nodes, and q10, q100 and the scratch row
@@ -143,8 +145,8 @@ def _chunk_cube_sums(inputs: _PassInputs, chunk: tuple) -> tuple[np.ndarray, int
                 np.multiply(diff, k, out=scratch)
                 scratch += ln100
                 np.exp(scratch, out=scratch)
-                out[h, col] = scratch.sum(axis=1)
-    return out, calm
+                sums[h, col, columns] = scratch.sum(axis=1)
+    return calm
 
 
 def _chunk_bounds(n: int) -> list[tuple[int, int]]:
@@ -157,36 +159,22 @@ def _chunk_bounds(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-# The pass a forked pool worker serves.  Bound by the pool initializer
-# inside each worker; the parent process never sets it.
-_worker_inputs: _PassInputs | None = None
-
-
-def _init_worker(inputs: _PassInputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _worker_cube_sums(index: int) -> tuple[np.ndarray, int]:
-    return _chunk_cube_sums(_worker_inputs, _worker_inputs.chunks[index])
-
-
-def _map_chunks(inputs: _PassInputs, workers: int) -> Iterator[tuple[np.ndarray, int]]:
-    """``_chunk_cube_sums`` of every chunk, yielded in chunk order as each
-    finishes: in this process, or with ``workers > 1`` on one forked pool.
-    Every platform with the ``os.preadv`` that each file-backed read needs
-    also has fork."""
+def _map_chunks(inputs: _PassInputs, workers: int) -> tuple[np.ndarray, int]:
+    """The pass's Σ v³ per [height, block, turbine], turbines in registry
+    order, and its calm turbine-stamps.  Every chunk writes its own columns of
+    the one ``sums`` array: in this thread, or with ``workers > 1`` as tasks
+    on a thread pool that share the pass's memory.  No two chunks write the
+    same column, so the tasks need no lock."""
     chunks = inputs.chunks
+    sums = np.empty((len(inputs.shear), len(inputs.bounds) - 1, len(inputs.order)))
     if workers <= 1 or len(chunks) <= 1:
-        for c in chunks:
-            yield _chunk_cube_sums(inputs, c)
-        return
-    import multiprocessing
+        calm = [_chunk_cube_sums(inputs, sums, c) for c in chunks]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
 
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(workers, len(chunks)), initializer=_init_worker,
-                  initargs=(inputs,)) as pool:
-        yield from pool.imap(_worker_cube_sums, range(len(chunks)))
+        with ThreadPoolExecutor(min(workers, len(chunks))) as pool:
+            calm = list(pool.map(lambda c: _chunk_cube_sums(inputs, sums, c), chunks))
+    return sums, sum(calm)
 
 
 def _stamp_slice(grid: WindGrid, first, last=None) -> tuple[int, int]:
@@ -277,11 +265,11 @@ def cube_sums(grid: WindGrid, turbines: Iterable[TurbineRecord], height_modes,
     (``"hub"`` or a fixed height in meters) for every turbine.
 
     The pass orders the turbines by grid cell, so a chunk blends few nodes,
-    cuts them into fixed 64-turbine chunks prepared once, and scatters each
-    chunk's sums into the result, in the order of ``turbines``, as the chunk
-    finishes; with ``workers > 1`` the chunks run on one forked pool.  A
-    turbine's sums do not depend on the chunk that holds it or where it runs,
-    so every reduction is bit-identical at any worker count.
+    cuts them into fixed 64-turbine chunks prepared once, and has each chunk
+    write its sums into the result, in the order of ``turbines``; with
+    ``workers > 1`` the chunks run on a pool of threads in this process.  A
+    turbine's sums do not depend on the chunk that holds it or the thread
+    that runs it, so every reduction is bit-identical at any worker count.
     """
     turbines = TurbineColumns.of(turbines)
     lon, lat = turbines.lon, turbines.lat
@@ -309,12 +297,8 @@ def cube_sums(grid: WindGrid, turbines: Iterable[TurbineRecord], height_modes,
         weights = np.zeros((b - a, len(distinct)))
         np.add.at(weights, (np.arange(b - a)[:, None], local.reshape(b - a, 4)), corners[a:b])
         chunks.append((slice(a, b), distinct, weights))
-    inputs = _PassInputs(grid, chunks, shear[:, order], _block_bounds(grid, *stamps))
-    sums = np.empty((len(shear), len(inputs.bounds) - 1, len(turbines)))
-    calm = 0
-    for (part, n_calm), (rows, _, _) in zip(_map_chunks(inputs, workers), chunks):
-        sums[:, :, order[rows]] = part
-        calm += n_calm
+    inputs = _PassInputs(grid, chunks, order, shear[:, order], _block_bounds(grid, *stamps))
+    sums, calm = _map_chunks(inputs, workers)
     return CubeSums(inputs.bounds, sums, calm, 0.5 * RHO * areas)
 
 

@@ -98,12 +98,27 @@ def test_validate_loads_no_kernel_grid_or_plot_code(bundle, tmp_path):
     assert "multiprocessing" not in run["modules"]
 
 
-def test_report_with_one_worker_loads_no_synth_or_pool(bundle, tmp_path):
+@pytest.fixture(scope="module")
+def pooled_bundle(tmp_path_factory):
+    """Three 64-turbine chunks, so a report at two workers starts its pool."""
+    path = tmp_path_factory.mktemp("imports") / "pooled"
+    assert main(["synth", "--out", str(path), "--n-turbines", "130",
+                 "--years", "2010:2011", "--seed", "3"]) == 0
+    return path
+
+
+def test_report_with_one_worker_loads_no_synth_or_pool(bundle, pooled_bundle, tmp_path):
     run = run_python(_COMMAND, "report", "--config", str(bundle / "run.conf"),
                      "--out", str(tmp_path / "r"), "--workers", "1")
     assert run["exit"] == 0
     assert "windfleet.synth" not in run["modules"]
     assert "multiprocessing" not in run["modules"]
+    # the chunk pool is threads in the report's own process
+    pooled = run_python(_COMMAND, "report", "--config", str(pooled_bundle / "run.conf"),
+                        "--out", str(tmp_path / "p"), "--workers", "2")
+    assert pooled["exit"] == 0
+    assert "concurrent.futures.thread" in pooled["modules"]
+    assert "multiprocessing" not in pooled["modules"]
 
 
 def test_public_names_resolve_to_their_modules():

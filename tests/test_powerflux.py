@@ -178,9 +178,20 @@ class TestAggregatePin:
                         year=2009, hub=60.0 + i) for i in range(150)]
         fleet = fleet_of(recs)
         serial = aggregate_pin(grid, fleet, (2010, 1), workers=1)
-        parallel = aggregate_pin(grid, fleet, (2010, 1), workers=3)
+        before = dict(vars(powerflux))
+        # three chunks on three threads that switch often: a chunk's lost or
+        # misplaced write would change the sum
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = aggregate_pin(grid, fleet, (2010, 1), workers=3)
+        finally:
+            sys.setswitchinterval(interval)
         assert serial == parallel  # bitwise
-        assert powerflux._worker_inputs is None  # bound only inside pool workers
+        # the pooled pass leaves no state in the module
+        after = vars(powerflux)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
 
     def test_calm_hours_counted(self):
         u10 = np.full((744, 2, 2), 5.0)
@@ -268,8 +279,10 @@ class TestFileBackedPass:
         assert np.array_equal(disk.sums, memory.sums)
         assert disk.calm_hours == memory.calm_hours == 4 * 150
 
-    @pytest.mark.parametrize("change", ["rewritten", "replaced", "truncated"])
-    def test_file_changed_after_load_fails_pass(self, tmp_path, change):
+    @pytest.mark.parametrize("change, workers", [
+        pytest.param(change, workers, id=change if workers == 1 else f"{change}-{workers}workers")
+        for workers in (1, 2) for change in ("rewritten", "replaced", "truncated")])
+    def test_file_changed_after_load_fails_pass(self, tmp_path, change, workers):
         grid, recs = self.grid_and_turbines()
         path = tmp_path / "g.wgrd"
         data = grid_to_bytes(grid)
@@ -289,8 +302,10 @@ class TestFileBackedPass:
         else:
             with open(path, "r+b") as fh:
                 fh.truncate(len(data) - 4)
+        # 150 turbines are three chunks, so with two workers the error is
+        # raised on a pool thread and must reach the caller unchanged
         with pytest.raises(DataError, match="changed after it was loaded"):
-            cube_sums(loaded, recs, ["hub"], (0, grid.n_time))
+            cube_sums(loaded, recs, ["hub"], (0, grid.n_time), workers)
 
 
 class TestPreparedChunks:
@@ -631,8 +646,9 @@ _BLAS_PROBE = ("import os, windfleet; "
 
 
 class TestBlasThreads:
-    """The chunk pool is the only parallelism: one BLAS thread per process
-    unless the environment chooses a thread count."""
+    """The chunk tasks of ``--workers`` are the only parallelism: one BLAS
+    thread per calling thread unless the environment chooses a thread
+    count."""
 
     @staticmethod
     def blas_environment(**chosen):
