@@ -4,12 +4,12 @@ All power values are carried in watts, energies in watt-hours, areas in m².
 One kernel pass evaluates the cubed wind speed for every turbine and stamp
 and keeps its sum per turbine and stamp block (calendar month); every fleet
 input power series is then a weighted reduction of those sums.  The pass runs
-over a fixed partition of the fleet into chunks, each prepared once per pass
-and evaluated in three [turbine × stamp] work rows; the reductions are
-correctly rounded, so results are bit-identical at any worker count.  A pass
-runs in one process and holds one result array, [height × block × turbine]:
-each chunk writes its turbines' sums into it directly, whichever thread runs
-the chunk.
+over a fixed partition of the fleet into chunks; each chunk task prepares its
+own nodes and weights and evaluates them in three [turbine × stamp] work rows;
+the reductions are correctly rounded, so results are bit-identical at any
+worker count.  A pass runs in one process and holds one result array,
+[height × block × turbine]: each chunk writes its turbines' sums into it
+directly, whichever thread runs the chunk.
 
 A report's annual ratios are formed in ``decomp`` and ``pipeline.power_stage``;
 ``system_efficiency`` forms the monthly efficiencies and raises the Betz warning.
@@ -78,51 +78,38 @@ def period_year(period) -> int:
 BLOCK_STAMPS = 744
 
 
-@dataclass(frozen=True)
-class _PassInputs:
-    """What every turbine chunk of one pass reads, turbines in cell order."""
-
-    grid: WindGrid
-    #: each chunk, prepared once per pass: its turbines (a slice), its distinct
-    #: flat node indices lat·n_lon + lon, ascending, and its [turbine, node]
-    #: bilinear weights over them, four nonzeros a row
-    chunks: list[tuple[slice, np.ndarray, np.ndarray]]
-    #: registry column of each cell-ordered turbine
-    order: np.ndarray
-    #: [height, turbine] 1.5·log10(h/100) of each evaluation height
-    shear: np.ndarray
-    #: block edges as grid stamp indices
-    bounds: np.ndarray
-
-
-def _chunk_cube_sums(inputs: _PassInputs, sums: np.ndarray, chunk: tuple) -> int:
+def _chunk_cube_sums(grid: WindGrid, bounds: np.ndarray, nodes: np.ndarray,
+                     weights: np.ndarray, shear: np.ndarray, sums: np.ndarray,
+                     columns: np.ndarray) -> int:
     """Write Σ v³ per [height, block] of one turbine chunk into its turbines'
-    columns of ``sums``, and return the chunk's calm turbine-stamps.
+    ``columns`` of ``sums``, and return the chunk's calm turbine-stamps.
 
-    The bilinear blend of each variable in a block is one f64 product of the
-    chunk's weights with the variable's values at its nodes.  With
-    q = u² + v², the power-law speed v100·(h/100)^α, α = log10(v100/v10),
-    cubes to exp(1.5·ln q100 + 1.5·c·(ln q100 − ln q10)), c = log10(h/100).
-    The blend and both logarithms serve every height.  A calm stamp (q10 = 0
-    or q100 = 0) takes zero shear: q100^1.5, which is 0 when q100 = 0.  Three
-    [turbine × stamp] rows hold q10, q100 and each v² or exponent in turn.
+    ``nodes`` are the chunk's distinct flat node indices lat·n_lon + lon,
+    ascending, ``weights`` its [turbine × node] bilinear weights over them,
+    ``shear`` its [height × turbine] 1.5·log10(h/100), and ``bounds`` the
+    block edges as grid stamp indices.  The bilinear blend of each variable
+    in a block is one f64 product of the weights with the variable's values
+    at the nodes.  With q = u² + v², the power-law speed v100·(h/100)^α,
+    α = log10(v100/v10), cubes to exp(1.5·ln q100 + 1.5·c·(ln q100 − ln q10)),
+    c = log10(h/100).  The blend and both logarithms serve every height.  A
+    calm stamp (q10 = 0 or q100 = 0) takes zero shear: q100^1.5, which is 0
+    when q100 = 0.  Three [turbine × stamp] rows hold q10, q100 and each v²
+    or exponent in turn.
     """
-    turbines, nodes, weights = chunk
-    (n, m), shear = weights.shape, inputs.shear[:, turbines, None]
-    edges, columns = inputs.bounds, inputs.order[turbines]
+    n, m = weights.shape
     calm = 0
     # work space of the longest block, reused by every block: one variable's
     # values at the chunk's nodes, and q10, q100 and the scratch row
-    longest = int(np.diff(edges).max(initial=0))
+    longest = int(np.diff(bounds).max(initial=0))
     values = np.empty(longest * m)
     work = np.empty((3, n * longest))
 
     def view(buf: np.ndarray, *shape: int) -> np.ndarray:
         return buf[:math.prod(shape)].reshape(shape)
 
-    with stamp_windows(inputs.grid) as windows:
-        for col in range(len(edges) - 1):
-            k0, k1 = edges[col], edges[col + 1]
+    with stamp_windows(grid) as windows:
+        for col in range(len(bounds) - 1):
+            k0, k1 = bounds[col], bounds[col + 1]
             x = view(values, k1 - k0, m)
             q10, q100, scratch = (view(buf, n, k1 - k0) for buf in work)
             for q, names in ((q10, ("u10", "v10")), (q100, ("u100", "v100"))):
@@ -141,7 +128,7 @@ def _chunk_cube_sums(inputs: _PassInputs, sums: np.ndarray, chunk: tuple) -> int
                 diff[~finite] = 0.0
                 calm += n_calm
             ln100 *= 1.5
-            for h, k in enumerate(shear):
+            for h, k in enumerate(shear[:, :, None]):
                 np.multiply(diff, k, out=scratch)
                 scratch += ln100
                 np.exp(scratch, out=scratch)
@@ -157,24 +144,6 @@ def _chunk_bounds(n: int) -> list[tuple[int, int]]:
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [n]))
-
-
-def _map_chunks(inputs: _PassInputs, workers: int) -> tuple[np.ndarray, int]:
-    """The pass's Σ v³ per [height, block, turbine], turbines in registry
-    order, and its calm turbine-stamps.  Every chunk writes its own columns of
-    the one ``sums`` array: in this thread, or with ``workers > 1`` as tasks
-    on a thread pool that share the pass's memory.  No two chunks write the
-    same column, so the tasks need no lock."""
-    chunks = inputs.chunks
-    sums = np.empty((len(inputs.shear), len(inputs.bounds) - 1, len(inputs.order)))
-    if workers <= 1 or len(chunks) <= 1:
-        calm = [_chunk_cube_sums(inputs, sums, c) for c in chunks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(min(workers, len(chunks))) as pool:
-            calm = list(pool.map(lambda c: _chunk_cube_sums(inputs, sums, c), chunks))
-    return sums, sum(calm)
 
 
 def _stamp_slice(grid: WindGrid, first, last=None) -> tuple[int, int]:
@@ -264,12 +233,14 @@ def cube_sums(grid: WindGrid, turbines: Iterable[TurbineRecord], height_modes,
     """One kernel pass over grid stamps [k0, k1) at each of ``height_modes``
     (``"hub"`` or a fixed height in meters) for every turbine.
 
-    The pass orders the turbines by grid cell, so a chunk blends few nodes,
-    cuts them into fixed 64-turbine chunks prepared once, and has each chunk
-    write its sums into the result, in the order of ``turbines``; with
-    ``workers > 1`` the chunks run on a pool of threads in this process.  A
-    turbine's sums do not depend on the chunk that holds it or the thread
-    that runs it, so every reduction is bit-identical at any worker count.
+    The pass locates every turbine in one ``cell_weights`` call and orders
+    the turbines by grid cell, so a chunk blends few nodes.  It cuts them
+    into fixed 64-turbine chunks; each chunk task prepares its own nodes and
+    weights and writes its sums into the result, in the order of
+    ``turbines``.  With ``workers > 1`` the tasks run on a pool of threads in
+    this process.  A turbine's sums do not depend on the chunk that holds it
+    or the thread that runs it, so every reduction is bit-identical at any
+    worker count.
     """
     turbines = TurbineColumns.of(turbines)
     lon, lat = turbines.lon, turbines.lat
@@ -283,23 +254,33 @@ def cube_sums(grid: WindGrid, turbines: Iterable[TurbineRecord], height_modes,
     areas = swept_areas(turbines)
     shear = 1.5 * np.log10(np.stack([_turbine_heights(turbines, h) for h in height_modes])
                            / REFERENCE_HEIGHT)
-    cells = np.asarray([cell_weights(grid, x, y)
-                        for x, y in zip(lon.tolist(), lat.tolist())]).reshape(-1, 8)
-    j0, j1, i0, i1 = cells[:, :4].T.astype(np.intp)
+    j0, j1, i0, i1, *corners = cell_weights(grid, lon, lat)
     order = np.lexsort((i1, i0, j1, j0))
     n_lon = len(grid.lons)
     nodes = np.stack([j0 * n_lon + i0, j0 * n_lon + i1, j1 * n_lon + i0, j1 * n_lon + i1],
                      axis=1)[order]
-    corners = cells[order, 4:]
-    chunks = []
-    for a, b in _chunk_bounds(len(turbines)):
+    corners, shear = np.stack(corners, axis=1)[order], shear[:, order]
+    bounds = _block_bounds(grid, *stamps)
+    sums = np.empty((len(shear), len(bounds) - 1, len(turbines)))
+
+    def chunk_task(chunk: tuple[int, int]) -> int:
+        # every chunk writes its own columns of ``sums``, so tasks need no lock
+        a, b = chunk
         distinct, local = np.unique(nodes[a:b], return_inverse=True)
         weights = np.zeros((b - a, len(distinct)))
         np.add.at(weights, (np.arange(b - a)[:, None], local.reshape(b - a, 4)), corners[a:b])
-        chunks.append((slice(a, b), distinct, weights))
-    inputs = _PassInputs(grid, chunks, order, shear[:, order], _block_bounds(grid, *stamps))
-    sums, calm = _map_chunks(inputs, workers)
-    return CubeSums(inputs.bounds, sums, calm, 0.5 * RHO * areas)
+        return _chunk_cube_sums(grid, bounds, distinct, weights, shear[:, a:b], sums,
+                                order[a:b])
+
+    chunks = _chunk_bounds(len(turbines))
+    if workers > 1 and len(chunks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(min(workers, len(chunks))) as pool:
+            calm = sum(pool.map(chunk_task, chunks))
+    else:
+        calm = sum(map(chunk_task, chunks))
+    return CubeSums(bounds, sums, calm, 0.5 * RHO * areas)
 
 
 def pin_series(grid: WindGrid, fleet: Fleet, periods,

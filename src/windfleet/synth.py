@@ -79,6 +79,8 @@ class WindModel:
             raise ValueError(f"unknown wind model {self.kind!r}")
         if len(self.params) != arity[self.kind]:
             raise ValueError(f"{self.kind} model takes {arity[self.kind]} parameters")
+        if not all(map(math.isfinite, self.params)):
+            raise ValueError("wind model parameters must be finite")
         if self.kind == "constant" and (self.params[0] < 0 or self.params[1] < 0):
             raise ValueError("wind speeds must be nonnegative")
         if self.kind == "sinusoidal" and self.params[2] <= 0:
@@ -105,11 +107,18 @@ class SynthSpec:
             raise ValueError("counts must be positive")
         if self.years[0] > self.years[1]:
             raise ValueError("years must be an ascending (start, end) pair")
+        if not all(map(math.isfinite, (*self.bbox, *self.hub_trend, *self.rotor_trend,
+                                       *self.efficiency, self.specific_power_w_m2))):
+            raise ValueError("bounding box, trends and specific power must be finite")
         lon0, lon1, lat0, lat1 = self.bbox
         if lon0 >= lon1 or lat0 >= lat1:
             raise ValueError("bounding box must have positive extent")
-        if self.hub_trend[0] <= 0 or self.rotor_trend[0] <= 0:
-            raise ValueError("hub and rotor start values must be positive")
+        span = self.years[1] - self.years[0]
+        for (start, per_year), name in ((self.hub_trend, "hub"), (self.rotor_trend, "rotor")):
+            if start <= 0 or start + per_year * span <= 0:
+                raise ValueError(f"{name} trend must be positive in every year")
+        if self.specific_power_w_m2 <= 0:
+            raise ValueError("specific power must be positive")
 
     def true_efficiency(self, year: int) -> float:
         base, per_year = self.efficiency

@@ -249,24 +249,29 @@ def stamp_windows(grid: WindGrid):
             os.close(fd)
 
 
-def _axis_cell(axis: np.ndarray, x: float, name: str) -> tuple[int, int, float]:
-    """Locate ``x`` on an ascending axis: (lower index, upper index, fraction)."""
-    if x < axis[0] or x > axis[-1]:
-        raise DataError(f"{name} {x} outside grid range [{axis[0]}, {axis[-1]}]")
+def _axis_cell(axis: np.ndarray, x, name: str):
+    """Locate ``x``, a number or an array, on an ascending axis: (lower
+    index, upper index, fraction), each of ``x``'s shape.  A point on the
+    upper edge takes the last cell; a single-node axis gives fraction 0."""
+    x = np.asarray(x, dtype=np.float64)
+    outside = x[(x < axis[0]) | (x > axis[-1])]
+    if outside.size:
+        raise DataError(f"{name} {outside[0]} outside grid range [{axis[0]}, {axis[-1]}]")
     if len(axis) == 1:
-        return 0, 0, 0.0
-    i = int(np.searchsorted(axis, x, side="right")) - 1
-    if i >= len(axis) - 1:  # exactly on the upper edge
-        i = len(axis) - 2
-    frac = (x - axis[i]) / (axis[i + 1] - axis[i])
-    return i, i + 1, frac
+        zero = np.zeros_like(x, dtype=np.intp)
+        return zero, zero, np.zeros_like(x)
+    i = np.minimum(np.searchsorted(axis, x, side="right") - 1, len(axis) - 2)
+    return i, i + 1, (x - axis[i]) / (axis[i + 1] - axis[i])
 
 
-def cell_weights(grid: WindGrid, lon: float, lat: float):
-    """Corner indices and bilinear weights of the cell enclosing a point.
+def cell_weights(grid: WindGrid, lon, lat):
+    """Corner indices and bilinear weights of the cells enclosing points.
 
-    Returns ``(j0, j1, i0, i1, w00, w01, w10, w11)`` where j indexes latitude
-    and i longitude; w00 weights corner (j0, i0), w01 corner (j0, i1), etc.
+    ``lon`` and ``lat`` are numbers or arrays of one shape.  Returns
+    ``(j0, j1, i0, i1, w00, w01, w10, w11)``, each of that shape, where j
+    indexes latitude and i longitude; w00 weights corner (j0, i0), w01
+    corner (j0, i1), etc.  The arithmetic is elementwise, so a point gets
+    the same bits alone or in an array.
     """
     i0, i1, fx = _axis_cell(grid.lons, lon, "lon")
     j0, j1, fy = _axis_cell(grid.lats, lat, "lat")

@@ -257,7 +257,7 @@ class TestReportCommand:
         exclusions = tmp_path / "exclusions.txt"
         exclusions.write_text("".join(row[0] + "\n" for row in rows if row[year] == "2010"))
         calls = []
-        for module, name in ((windgrid, "load_windgrid"), (powerflux, "_map_chunks")):
+        for module, name in ((windgrid, "load_windgrid"), (powerflux, "_chunk_cube_sums")):
             monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
         out = tmp_path / "out"
         assert run_report(fixture_dir, out, ["--exclusions", str(exclusions)]) == 3
@@ -266,17 +266,17 @@ class TestReportCommand:
         assert not out.exists()
 
     def test_one_kernel_pass_per_report(self, fixture_dir, tmp_path, monkeypatch):
-        passes = []
-        map_chunks = powerflux._map_chunks
+        chunks = []  # (result array, turbine-hours) of every chunk evaluated
+        chunk_cube_sums = powerflux._chunk_cube_sums
 
-        def counting(inputs, workers):
-            turbines = sum(len(weights) for _, _, weights in inputs.chunks)
-            passes.append(turbines * int(inputs.bounds[-1] - inputs.bounds[0]))
-            return map_chunks(inputs, workers)
+        def counting(grid, bounds, nodes, weights, shear, sums, columns):
+            chunks.append((sums, len(weights) * int(bounds[-1] - bounds[0])))
+            return chunk_cube_sums(grid, bounds, nodes, weights, shear, sums, columns)
 
-        monkeypatch.setattr(powerflux, "_map_chunks", counting)
+        monkeypatch.setattr(powerflux, "_chunk_cube_sums", counting)
         assert run_report(fixture_dir, tmp_path / "out", ["--workers", "2"]) == 0
-        assert passes == [10 * 17520]  # every study turbine-hour, once
+        assert chunks and all(sums is chunks[0][0] for sums, _ in chunks)  # one pass
+        assert sum(hours for _, hours in chunks) == 10 * 17520  # every turbine-hour, once
 
     def test_calm_hours_count_turbine_hours_once(self, tmp_path):
         bundle = tmp_path / "calm"
@@ -584,9 +584,10 @@ class TestReportReferencePolicy:
 
     @pytest.fixture
     def compute(self, monkeypatch):
-        """The compute steps a run reaches: registry parses and kernel passes."""
+        """The compute steps a run reaches: registry parses and the kernel
+        pass's chunks."""
         seen = []
-        for module, name in ((fleet, "parse_turbine_csv"), (powerflux, "_map_chunks")):
+        for module, name in ((fleet, "parse_turbine_csv"), (powerflux, "_chunk_cube_sums")):
             def recording(*args, _original=getattr(module, name), _name=name):
                 seen.append(_name)
                 return _original(*args)
@@ -703,6 +704,17 @@ class TestBadFlagValues:
         ("report", ["--workers", "0"], "workers must be >= 1"),
         ("convert-grid", ["--step", "0"], "step must be positive"),
         ("convert-grid", ["--step", "-3600"], "step must be positive"),
+        # values the registry or the report would reject after files were written
+        ("synth", ["--specific-power", "0"], "specific power must be positive"),
+        ("synth", ["--specific-power", "inf"], "must be finite"),
+        ("synth", ["--hub", "80,-50", "--years", "2010:2012"],
+         "hub trend must be positive in every year"),
+        ("synth", ["--rotor", "1,-1"], "rotor trend must be positive in every year"),
+        ("synth", ["--hub", "0,10"], "hub trend must be positive in every year"),
+        ("synth", ["--bbox", "-100", "nan", "35", "40"], "must be finite"),
+        ("synth", ["--efficiency", "nan,0"], "must be finite"),
+        ("synth", ["--wind", "sinusoidal:nan,1,720"], "parameters must be finite"),
+        ("synth", ["--wind", "noise:8,inf"], "parameters must be finite"),
     ])
     def test_config_error(self, command, extra, message, fixture_dir, grid_csv, tmp_path,
                           registry_reads, capsys):

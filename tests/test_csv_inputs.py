@@ -252,8 +252,8 @@ class TestMutatedInputs:
             bad = Path(tmp) / file
             bad.write_bytes(mutate(data.draw, original, file != "wind.wgrd"))
             out = Path(tmp) / "out"
-            with mock.patch.object(powerflux, "_map_chunks",
-                                   wraps=powerflux._map_chunks) as passes, \
+            with mock.patch.object(powerflux, "_chunk_cube_sums",
+                                   wraps=powerflux._chunk_cube_sums) as passes, \
                     warnings.catch_warnings():
                 # a mutated generation, registry or grid may put a month over
                 # the Betz limit, which warns and does not fail the run

@@ -148,6 +148,21 @@ class TestAggregatePin:
         with pytest.raises(DataError, match="outside wind grid: FAR"):
             aggregate_pin(grid, fleet, 2010)
 
+    def test_many_turbines_outside_grid(self):
+        """The error names the first ten turbines outside the grid, in
+        registry order, and counts the rest."""
+        grid = const_grid(n_time=24)
+        # past each of the four edges in turn, between turbines inside
+        beyond = [(-97.0, 34.0), (-97.0, 41.0), (-101.0, 37.0), (-94.0, 37.0)]
+        recs = []
+        for i in range(13):
+            lon, lat = beyond[i % 4]
+            recs += [turbine(f"IN{i}"), turbine(f"OUT{i}", lon=lon, lat=lat)]
+        with pytest.raises(DataError) as err:
+            cube_sums(grid, recs, ["hub"], (0, 24))
+        shown = ", ".join(f"OUT{i}" for i in range(10))
+        assert str(err.value) == f"turbines outside wind grid: {shown} (+3 more)"
+
     def test_period_not_covered(self):
         grid = const_grid(n_time=24)  # one day of 2010
         fleet = fleet_of([turbine("A", year=2009)])
@@ -309,43 +324,42 @@ class TestFileBackedPass:
 
 
 class TestPreparedChunks:
-    """``cube_sums`` prepares each chunk once per pass: its turbines follow
-    ``_chunk_bounds``, its weight columns are its distinct nodes in ascending
-    order, and each weight row is one turbine's bilinear weights."""
+    """Each chunk task of ``cube_sums`` prepares its own chunk: its sizes
+    follow ``_chunk_bounds``, its weight columns are its distinct nodes in
+    ascending order, and each weight row is one turbine's bilinear weights."""
 
     @pytest.mark.parametrize("chunk", [64, 7, 149])
     def test_chunks_of_a_pass(self, monkeypatch, chunk):
         grid, recs = TestFileBackedPass.grid_and_turbines()
-        passes = []
-        map_chunks = powerflux._map_chunks
+        chunks = []
+        chunk_cube_sums = powerflux._chunk_cube_sums
 
-        def capturing(inputs, workers):
-            passes.append(inputs)
-            return map_chunks(inputs, workers)
+        def capturing(grid, bounds, nodes, weights, shear, sums, columns):
+            chunks.append((nodes, weights, columns))
+            return chunk_cube_sums(grid, bounds, nodes, weights, shear, sums, columns)
 
-        monkeypatch.setattr(powerflux, "_map_chunks", capturing)
+        monkeypatch.setattr(powerflux, "_chunk_cube_sums", capturing)
         monkeypatch.setattr(powerflux, "CHUNK_TURBINES", chunk)
         cube_sums(grid, recs, ["hub"], (0, grid.n_time))
-        [inputs] = passes
-        bounds = [(turbines.start, turbines.stop) for turbines, _, _ in inputs.chunks]
-        assert bounds == powerflux._chunk_bounds(len(recs))
+        assert [len(columns) for _, _, columns in chunks] == \
+            [b - a for a, b in powerflux._chunk_bounds(len(recs))]
+        # every turbine in one chunk, once
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([columns for _, _, columns in chunks])),
+            np.arange(len(recs)))
         node_lon = np.tile(grid.lons, len(grid.lats))
         node_lat = np.repeat(grid.lats, len(grid.lons))
-        blended = []
-        for turbines, nodes, weights in inputs.chunks:
-            assert weights.shape == (turbines.stop - turbines.start, len(nodes))
+        positions = np.asarray([(r.lon, r.lat) for r in recs])
+        for nodes, weights, columns in chunks:
+            assert weights.shape == (len(columns), len(nodes))
             assert np.all(np.diff(nodes) > 0)
             assert np.all(np.count_nonzero(weights, axis=1) <= 4)
             assert np.allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-            blended.append(np.stack([weights @ node_lon[nodes], weights @ node_lat[nodes]],
-                                    axis=1))
-        # the rows blend the grid's node coordinates back to the turbines'
-        # positions, compared sorted because the pass orders turbines by cell
-        blended = np.concatenate(blended)
-        positions = np.asarray([(r.lon, r.lat) for r in recs])
-        for points in (blended, positions):
-            points[:] = points[np.lexsort(points.T[::-1])]
-        assert np.allclose(blended, positions, rtol=1e-12, atol=1e-9)
+            # the rows blend the grid's node coordinates back to the positions
+            # of the turbines in the chunk's registry columns
+            blended = np.stack([weights @ node_lon[nodes], weights @ node_lat[nodes]],
+                               axis=1)
+            assert np.allclose(blended, positions[columns], rtol=1e-12, atol=1e-9)
 
 
 class TestWindowedReads:

@@ -5,11 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import const_grid, grid_from_field
 from windfleet import windgrid
 from windfleet.errors import DataError
-from windfleet.windgrid import (bilinear, grid_from_bytes, grid_from_csv,
+from windfleet.windgrid import (bilinear, cell_weights, grid_from_bytes, grid_from_csv,
                                 grid_to_bytes, hub_height_speed, load_windgrid,
                                 shear_exponent, speed_at_height,
                                 speed_from_components, write_windgrid)
@@ -191,6 +193,54 @@ class TestBilinear:
             v = bilinear(grid, "u100", 1, lon, lat)
             corners = grid.u100[1].ravel()
             assert corners.min() - 1e-9 <= v <= corners.max() + 1e-9
+
+
+@st.composite
+def axis_and_points(draw, n_points):
+    """An ascending axis of 1–5 nodes and ``n_points`` points on it: nodes,
+    the upper edge among them, and points inside."""
+    steps = draw(st.lists(st.floats(0.01, 5.0), min_size=0, max_size=4))
+    axis = draw(st.floats(-180.0, 170.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+    inside = st.floats(float(axis[0]), float(axis[-1]))
+    points = draw(st.lists(st.one_of(st.sampled_from(axis.tolist()), inside),
+                           min_size=n_points, max_size=n_points))
+    return axis, np.asarray(points)
+
+
+@st.composite
+def grid_and_points(draw):
+    """A one-stamp grid and 1–12 points on it, as lon and lat arrays."""
+    n = draw(st.integers(1, 12))
+    lons, lon = draw(axis_and_points(n))
+    lats, lat = draw(axis_and_points(n))
+    return const_grid(n_time=1, lons=lons, lats=lats), lon, lat
+
+
+class TestCellWeights:
+    """``cell_weights`` on arrays of points gives each point the bits it gets
+    alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=grid_and_points())
+    def test_arrays_match_points(self, case):
+        grid, lon, lat = case
+        arrays = np.stack([np.asarray(v, dtype=np.float64)
+                           for v in cell_weights(grid, lon, lat)], axis=1)
+        points = np.asarray([[float(v) for v in cell_weights(grid, x, y)]
+                             for x, y in zip(lon.tolist(), lat.tolist())])
+        assert arrays.tobytes() == points.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=grid_and_points(), axis=st.sampled_from(["lon", "lat"]),
+           past=st.floats(1e-6, 1e3), above=st.booleans(), data=st.data())
+    def test_point_outside_names_its_axis(self, case, axis, past, above, data):
+        grid, lon, lat = case
+        points = {"lon": lon, "lat": lat}
+        edges = grid.lons if axis == "lon" else grid.lats
+        k = data.draw(st.integers(0, len(lon) - 1))
+        points[axis][k] = edges[-1] + past if above else edges[0] - past
+        with pytest.raises(DataError, match=f"^{axis} .* outside grid range"):
+            cell_weights(grid, points["lon"], points["lat"])
 
 
 class TestSpeedFromComponents:
