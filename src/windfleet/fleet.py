@@ -48,9 +48,6 @@ IMPUTABLE_FIELDS = ("hub_height", "rotor_diameter", "capacity")
 _BOOLEANS = {"": False, "false": False, "f": False, "0": False, "no": False,
              "true": True, "t": True, "1": True, "yes": True}
 
-#: ids hashed at a time while extension ids are looked up in the registry
-_HASH_ROWS = 4096
-
 #: commissioning or decommissioning year standing in for a missing one:
 #: later than any year
 _NEVER = np.iinfo(np.int64).max // 2
@@ -340,9 +337,9 @@ def parse_exclusion_ids(text: str) -> set[str]:
 
 
 def _first_duplicate(ids: np.ndarray) -> str | None:
-    """The first id that repeats an earlier one, or None.  Equal ids have
-    equal hashes, so sorted hashes rule duplicates out without a set of
-    every id, which would cost more than the ids themselves."""
+    """The first id of the registry ``ids`` that repeats an earlier one, or
+    None.  Equal ids have equal hashes, so sorted hashes rule duplicates out
+    without a set of every id, which would cost more than the ids themselves."""
     hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
     hashes.sort()
     if not (hashes[1:] == hashes[:-1]).any():
@@ -353,26 +350,6 @@ def _first_duplicate(ids: np.ndarray) -> str | None:
             return tid
         seen.add(tid)
     return None
-
-
-def _positions(ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """For each of the distinct ``keys``, the last row of ``ids`` holding it,
-    or -1.  As in ``_first_duplicate``, sorted hashes stand in for a dict of
-    every id: ``ids`` are hashed ``_HASH_ROWS`` at a time, and only a row
-    whose hash is a key's is compared."""
-    at = np.full(len(keys), -1, np.intp)
-    key_hashes = np.fromiter(map(hash, keys), np.int64, len(keys))
-    order = np.argsort(key_hashes)
-    key_hashes = key_hashes[order]
-    for start in range(0, len(ids), _HASH_ROWS):
-        hashes = np.fromiter(map(hash, ids[start:start + _HASH_ROWS]), np.int64)
-        lo = np.searchsorted(key_hashes, hashes)
-        hi = np.searchsorted(key_hashes, hashes, "right")
-        for row in np.flatnonzero(hi > lo).tolist():
-            for k in order[lo[row]:hi[row]].tolist():  # one key, unless hashes collide
-                if keys[k] == ids[start + row]:
-                    at[k] = start + row
-    return at
 
 
 def merge_extension(base: Iterable[TurbineRecord],
@@ -386,10 +363,16 @@ def merge_extension(base: Iterable[TurbineRecord],
     table is merged in place and returned; any other ``base`` is copied.
     """
     ext = TurbineColumns.of(ext)
-    if (duplicate := _first_duplicate(ext.id)) is not None:
-        raise DataError(f"duplicate turbine id {duplicate} in extension")
+    last: dict[str, int] = {}  # extension id -> its last base row, or -1
+    for tid in ext.id:
+        if tid in last:
+            raise DataError(f"duplicate turbine id {tid} in extension")
+        last[tid] = -1
     base = TurbineColumns.of(base)._owned()
-    at = _positions(base.id, ext.id)
+    for row, tid in enumerate(base.id):
+        if tid in last:
+            last[tid] = row
+    at = np.fromiter(last.values(), np.intp, len(ext))
     hit = at >= 0
     i = at[hit]
     flag, d_year = base.decommissioned_flag, base.decommissioning_year
@@ -443,13 +426,17 @@ def impute_missing(records: Iterable[TurbineRecord]
         # observed values' sums, each added left to right in turbine order
         values[missing] = 0.0
         counts = per_year - np.bincount(blanks, minlength=len(per_year))
-        sums = np.bincount(cohort, weights=values, minlength=len(per_year))
-        n_observed = len(values) - len(blanks)
-        global_mean = _turbine_order_sum(values) / n_observed
+        with np.errstate(over="ignore"):  # finite values, sums past the float range
+            sums = np.bincount(cohort, weights=values, minlength=len(per_year))
+            global_mean = _turbine_order_sum(values) / (len(values) - len(blanks))
         means = np.where(counts > 0, sums / np.maximum(counts, 1), global_mean)
+        fills = means[blanks]
+        if len(bad := np.flatnonzero(~np.isfinite(fills))):
+            raise DataError(f"non-finite mean {fname} to impute for commissioning year "
+                            f"{first + blanks[bad[0]]}")
         fallback_years[fname] = (first + np.flatnonzero((per_year > 0) & (counts == 0))).tolist()
         imputed_counts[fname] = len(blanks)
-        values[missing] = means[blanks]
+        values[missing] = fills
         table.imputed[:, k] |= missing
     return table, ImputationReport(imputed_counts, fallback_years)
 

@@ -119,6 +119,15 @@ class SynthSpec:
                 raise ValueError(f"{name} trend must be positive in every year")
         if self.specific_power_w_m2 <= 0:
             raise ValueError("specific power must be positive")
+        start, per_year = self.rotor_trend
+        for rotor in (start, start + per_year * span):  # the extremes of a linear trend
+            if not 0 < (cap_kw := self.capacity_kw(rotor)) < math.inf:
+                raise ValueError(f"capacity {cap_kw!r} kW of a {rotor!r} m rotor "
+                                 "must be positive and finite")
+
+    def capacity_kw(self, rotor: float) -> float:
+        """Registry capacity (kW) of a rotor of diameter ``rotor`` (m)."""
+        return self.specific_power_w_m2 * rotor_swept_area(rotor) / 1000.0
 
     def true_efficiency(self, year: int) -> float:
         base, per_year = self.efficiency
@@ -145,9 +154,8 @@ def generate_fleet(spec: SynthSpec, seed: int) -> bytes:
         lat = rng.uniform(lat0, lat1)
         hub = spec.hub_trend[0] + spec.hub_trend[1] * k
         rotor = spec.rotor_trend[0] + spec.rotor_trend[1] * k
-        cap_kw = spec.specific_power_w_m2 * rotor_swept_area(rotor) / 1000.0
         writer.writerow([f"S{i:05d}", repr(lon), repr(lat), year, repr(hub),
-                         repr(rotor), repr(cap_kw), "false", ""])
+                         repr(rotor), repr(spec.capacity_kw(rotor)), "false", ""])
     return out.getvalue().encode("utf-8")
 
 

@@ -715,6 +715,10 @@ class TestBadFlagValues:
         ("synth", ["--efficiency", "nan,0"], "must be finite"),
         ("synth", ["--wind", "sinusoidal:nan,1,720"], "parameters must be finite"),
         ("synth", ["--wind", "noise:8,inf"], "parameters must be finite"),
+        # finite flags whose derived capacity leaves the float range
+        ("synth", ["--rotor", "1e200,0"], "capacity inf kW"),
+        ("synth", ["--specific-power", "1e308"], "capacity inf kW"),
+        ("synth", ["--rotor", "1e-170,0"], "capacity 0.0 kW"),
     ])
     def test_config_error(self, command, extra, message, fixture_dir, grid_csv, tmp_path,
                           registry_reads, capsys):

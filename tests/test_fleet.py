@@ -274,6 +274,32 @@ class TestImputeMissing:
         with pytest.raises(DataError, match="field never observed: hub_height"):
             impute_missing(recs)
 
+    @pytest.mark.parametrize("blank_year", [2010, 2011])
+    def test_overflowing_mean_is_not_imputed(self, blank_year, tmp_path):
+        """Two finite hub heights whose sum overflows: the blank would be filled
+        with inf, from its year's mean or, in a fallback year, the global
+        mean.  The fleet stage fails instead, naming the field and year."""
+        registry = tmp_path / "turbines.csv"
+        registry.write_bytes(csv_bytes("A,-97.0,37.0,2010,1e308,100,2000,false,",
+                                       "B,-97.0,37.0,2010,1e308,100,2000,false,",
+                                       f"C,-97.0,37.0,{blank_year},,100,2000,false,"))
+        config = RunConfig(turbines=str(registry), windgrid="", generation="",
+                           start_year=2010, end_year=2011, out="")
+        with pytest.raises(PipelineError) as failure:
+            fleet_stage(config)
+        assert (failure.value.stage, failure.value.message, failure.value.exit_code) == (
+            "fleet", "non-finite mean hub_height to impute for commissioning year "
+                     f"{blank_year}", 3)
+
+    def test_overflowing_sums_without_blanks(self):
+        """Sums past the float range are not needed when nothing is blank:
+        nothing is imputed and no overflow warning is given (the suite's
+        filter makes a ``RuntimeWarning`` an error)."""
+        recs = [turbine("A", hub=1e308), turbine("B", hub=1e308)]
+        out, report = impute_missing(recs)
+        assert list(out) == recs
+        assert report.imputed_counts == dict.fromkeys(IMPUTABLE_FIELDS, 0)
+
 
 def extreme_fill_areas(recs, year):
     """Swept area added in ``year`` with every missing rotor diameter filled

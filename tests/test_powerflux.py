@@ -1,3 +1,4 @@
+import calendar
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -591,6 +593,29 @@ class TestSubHourlyBlocks:
         assert powerflux.BLOCK_STAMPS == 744
         assert powerflux._block_bounds(grid, 0, grid.n_time).tolist() == [
             0, 744, 1488, 2232, 2832]
+
+    @settings(max_examples=300, deadline=None)
+    @given(t0=st.integers(0, 4_000_000_000) | st.builds(
+               lambda y, m: calendar.timegm((y, m, 1, 0, 0, 0)),
+               st.integers(1970, 2090), st.integers(1, 12)),
+           step=st.sampled_from([60, 900, 1800, 3600, 86400]) | st.integers(60, 86400),
+           k0=st.integers(0, 50_000), span=st.integers(1, 20_000))
+    def test_block_edges_any_start_and_step(self, t0, step, k0, span):
+        """From ``k0`` to ``k1``, strictly increasing, no block longer than
+        ``BLOCK_STAMPS``; an inner edge is a stamp on a UTC month start or
+        ``BLOCK_STAMPS`` after the edge before it, and every month-start
+        stamp inside is an edge."""
+        k1 = k0 + span
+        edges = powerflux._block_bounds(SimpleNamespace(t0=t0, step=step), k0, k1).tolist()
+        assert edges[0] == k0 and edges[-1] == k1
+        gaps = np.diff(edges)
+        assert (gaps > 0).all() and (gaps <= powerflux.BLOCK_STAMPS).all()
+        inner = np.arange(k0 + 1, k1)
+        at = (t0 + inner * step).astype("datetime64[s]")
+        month_starts = set(inner[at == at.astype("datetime64[M]")].tolist())
+        assert month_starts <= set(edges)
+        for before, edge in zip(edges, edges[1:-1]):
+            assert edge in month_starts or edge == before + powerflux.BLOCK_STAMPS
 
     def test_pass_matches_oracle_with_calm_hours(self):
         grid, fleet = self.grid(), fleet_of(self.turbines(4))
