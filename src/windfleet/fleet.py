@@ -485,7 +485,8 @@ def swept_areas(turbines: TurbineColumns) -> np.ndarray:
         if math.isnan(d[bad[0]]):
             raise DataError(f"turbine {turbines.id[bad[0]]} has no rotor diameter")
         raise ValueError("rotor diameter must be positive")
-    return math.pi * d * d / 4.0
+    with np.errstate(over="ignore"):  # inf, as for one rotor; the series check rejects it
+        return math.pi * d * d / 4.0
 
 
 def operating_weight(rec: TurbineRecord, year: int,
@@ -548,7 +549,8 @@ def _weighted_series(fleet: Fleet, years, scenario: ScenarioSpec | None,
     sums = []
     for y in years:
         terms = operating_weights(fleet.turbines, y, scenario)
-        terms *= values
+        with np.errstate(invalid="ignore"):  # 0 · inf: nan, which the series rejects
+            terms *= values
         sums.append(_turbine_order_sum(terms, out=terms))
     return sums
 

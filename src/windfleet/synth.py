@@ -2,7 +2,14 @@
 truth, plus a deliberately naive reference evaluation of input power.
 
 Randomness comes from a self-contained splitmix64 generator so fixtures are
-byte-identical across platforms and Python versions.
+byte-identical across platforms and Python versions.  The generators work on
+whole arrays: one ``SplitMix64.draws`` call gives every random word a fleet
+or a noise grid needs, a sinusoidal grid's hours are one array, and each
+commissioning year's registry fields are formatted once.  Their bytes are
+those of a loop that draws and formats one value at a time: every formula
+keeps its scalar operation order, and ``math.sin``, ``math.cos`` and
+``math.log`` are mapped over the arrays, since numpy's own functions may
+differ from them in the last bit.
 """
 
 from __future__ import annotations
@@ -10,20 +17,22 @@ from __future__ import annotations
 import calendar
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .fleet import Fleet, operating_weight, rotor_swept_area
-from .powerflux import RHO, period_year, _stamp_slice, _study_slice
-from .windgrid import WindGrid, grid_to_bytes, hub_height_speed
+
+if TYPE_CHECKING:  # the grid and kernel modules are imported where they run
+    from .windgrid import WindGrid
 
 #: cap on stamp×turbine evaluations accepted by the brute-force oracle
 BRUTE_FORCE_GUARD = 10_000_000
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -32,18 +41,33 @@ class SplitMix64:
     state += 0x9E3779B97F4A7C15; z = state; z ^= z >> 30;
     z *= 0xBF58476D1CE4E5B9; z ^= z >> 27; z *= 0x94D049BB133111EB;
     z ^= z >> 31.  Uniform doubles take the top 53 bits.
+
+    ``draws(count)`` mixes the next ``count`` states as one uint64 array
+    (the k-th is state + k·0x9E3779B97F4A7C15 mod 2⁶⁴), and ``next_u64``,
+    ``uniform`` and ``normal`` are built on it, so every value comes from
+    that one mixer and equals the k-th step of the recurrence.
     """
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
         self._spare_normal: float | None = None
 
+    def draws(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs, as a uint64 array."""
+        with np.errstate(over="ignore"):  # uint64 arithmetic wraps mod 2**64
+            z = np.arange(1, count + 1, dtype=np.uint64)
+            z *= np.uint64(_GOLDEN)
+            z += np.uint64(self.state)
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(0xBF58476D1CE4E5B9)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(0x94D049BB133111EB)
+            z ^= z >> np.uint64(31)
+        self.state = (self.state + _GOLDEN * count) & _MASK64
+        return z
+
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return int(self.draws(1)[0])
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return lo + (hi - lo) * (self.next_u64() >> 11) * 2.0 ** -53
@@ -52,13 +76,27 @@ class SplitMix64:
         if self._spare_normal is not None:
             z, self._spare_normal = self._spare_normal, None
         else:
-            # Box-Muller; u1 shifted into (0, 1] so the log is defined
-            u1 = ((self.next_u64() >> 11) + 1) * 2.0 ** -53
-            u2 = (self.next_u64() >> 11) * 2.0 ** -53
-            r = math.sqrt(-2.0 * math.log(u1))
-            z = r * math.cos(2.0 * math.pi * u2)
-            self._spare_normal = r * math.sin(2.0 * math.pi * u2)
+            z, self._spare_normal = _box_muller(self.draws(2)).tolist()
         return mean + sd * z
+
+
+def _libm(f, values: np.ndarray) -> np.ndarray:
+    """``f`` (a ``math`` function) of each float64 of ``values``."""
+    return np.fromiter(map(f, memoryview(values)), np.float64, count=len(values))
+
+
+def _box_muller(words: np.ndarray) -> np.ndarray:
+    """Standard normals, two from each pair (w1, w2) of ``words``:
+    r·cos(2π·u2) and r·sin(2π·u2), with r = sqrt(-2·log u1) and u1 shifted
+    into (0, 1] so the log is defined."""
+    u1 = ((words[0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0 ** -53
+    u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    r = np.sqrt(-2.0 * _libm(math.log, u1))
+    angle = 2.0 * math.pi * u2
+    normals = np.empty(len(words))
+    normals[0::2] = r * _libm(math.cos, angle)
+    normals[1::2] = r * _libm(math.sin, angle)
+    return normals
 
 
 @dataclass(frozen=True)
@@ -115,8 +153,12 @@ class SynthSpec:
             raise ValueError("bounding box must have positive extent")
         span = self.years[1] - self.years[0]
         for (start, per_year), name in ((self.hub_trend, "hub"), (self.rotor_trend, "rotor")):
-            if start <= 0 or start + per_year * span <= 0:
+            last = start + per_year * span  # a finite start and slope may overflow
+            if start <= 0 or last <= 0:
                 raise ValueError(f"{name} trend must be positive in every year")
+            if last == math.inf:
+                raise ValueError(f"{name} trend must be finite in every year "
+                                 f"({last!r} m in {self.years[1]})")
         if self.specific_power_w_m2 <= 0:
             raise ValueError("specific power must be positive")
         start, per_year = self.rotor_trend
@@ -139,58 +181,57 @@ class SynthSpec:
 
 def generate_fleet(spec: SynthSpec, seed: int) -> bytes:
     """Turbine registry CSV: turbines round-robin across years, uniformly
-    placed inside the bounding box, hub/rotor trends applied per year."""
-    rng = SplitMix64(seed)
+    placed inside the bounding box, hub/rotor trends applied per year.
+
+    Turbine i's lon and lat are ``uniform`` draws 2i and 2i+1, and a year's
+    fields are the same for all of its turbines, so they are formatted once.
+    """
     lon0, lon1, lat0, lat1 = spec.bbox
-    years = spec.year_list()
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["case_id", "xlong", "ylat", "p_year", "t_hh", "t_rd",
-                     "t_cap", "is_decommissioned", "d_year"])
-    for i in range(spec.n_turbines):
-        year = years[i % len(years)]
-        k = year - years[0]
-        lon = rng.uniform(lon0, lon1)
-        lat = rng.uniform(lat0, lat1)
+    u = (SplitMix64(seed).draws(2 * spec.n_turbines) >> np.uint64(11)).astype(np.float64)
+    lons = lon0 + (lon1 - lon0) * u[0::2] * 2.0 ** -53
+    lats = lat0 + (lat1 - lat0) * u[1::2] * 2.0 ** -53
+    tails = []
+    for k, year in enumerate(spec.year_list()):
         hub = spec.hub_trend[0] + spec.hub_trend[1] * k
         rotor = spec.rotor_trend[0] + spec.rotor_trend[1] * k
-        writer.writerow([f"S{i:05d}", repr(lon), repr(lat), year, repr(hub),
-                         repr(rotor), repr(spec.capacity_kw(rotor)), "false", ""])
-    return out.getvalue().encode("utf-8")
+        tails.append(f"{year},{hub!r},{rotor!r},{spec.capacity_kw(rotor)!r},false,\n")
+    rows = (f"S{i:05d},{lon!r},{lat!r},{tails[i % len(tails)]}"
+            for i, (lon, lat) in enumerate(zip(lons.tolist(), lats.tolist())))
+    header = "case_id,xlong,ylat,p_year,t_hh,t_rd,t_cap,is_decommissioned,d_year\n"
+    return "".join([header, *rows]).encode("utf-8")
 
 
-def _speeds_at(model: WindModel, rng: SplitMix64, hour_index: int) -> tuple[float, float]:
-    """(v10, v100) for one cell-hour; draws at most one random value."""
+def _speeds_at(model: WindModel, rng: SplitMix64,
+               shape: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(v10, v100) as float64 arrays that broadcast to the (hour, lat, lon)
+    ``shape``: one value for constant wind, one an hour for sinusoidal wind,
+    and one a cell-hour for noise, drawn time-major, then lat, then lon."""
     if model.kind == "constant":
-        return model.params
+        return np.array(model.params[0]), np.array(model.params[1])
     if model.kind == "sinusoidal":
         mean, amplitude, period = model.params
-        v100 = max(0.0, mean + amplitude * math.sin(2.0 * math.pi * hour_index / period))
-        return 0.8 * v100, v100
-    mean, sd = model.params
-    v100 = max(0.0, rng.normal(mean, sd))
+        phases = 2.0 * math.pi * np.arange(shape[0], dtype=np.float64) / period
+        v100 = (mean + amplitude * _libm(math.sin, phases))[:, None, None]
+    else:
+        mean, sd = model.params
+        n = math.prod(shape)
+        v100 = (mean + sd * _box_muller(rng.draws(n + n % 2))[:n]).reshape(shape)
+    v100 = np.where(v100 > 0.0, v100, 0.0)  # max(0.0, v), also for -0.0
     return 0.8 * v100, v100
 
 
 def make_windgrid(spec: SynthSpec, seed: int) -> WindGrid:
     """Wind grid covering the requested years hourly on the requested grid."""
-    rng = SplitMix64(seed)
+    from .windgrid import WindGrid
+
     lon0, lon1, lat0, lat1 = spec.bbox
     lons = np.linspace(lon0, lon1, spec.n_lon)
     lats = np.linspace(lat0, lat1, spec.n_lat)
     t0 = calendar.timegm((spec.years[0], 1, 1, 0, 0, 0))
     t_end = calendar.timegm((spec.years[1] + 1, 1, 1, 0, 0, 0))
-    n_time = (t_end - t0) // 3600
-
-    shape = (n_time, spec.n_lat, spec.n_lon)
-    # one (v10, v100) pair per cell-hour for noise, drawn time-major, then
-    # lat, then lon; one per hour for sinusoidal wind; one for constant wind
-    draws = {"constant": (1, 1, 1), "sinusoidal": (n_time, 1, 1)}.get(spec.wind.kind, shape)
-    pairs = np.fromiter(itertools.chain.from_iterable(
-        _speeds_at(spec.wind, rng, k)
-        for k in range(draws[0]) for _ in range(draws[1] * draws[2])),
-        dtype=np.float32, count=2 * math.prod(draws)).reshape(*draws, 2)
-    u10, u100 = (np.broadcast_to(pairs[..., c], shape).copy() for c in (0, 1))
+    shape = ((t_end - t0) // 3600, spec.n_lat, spec.n_lon)
+    u10, u100 = (np.broadcast_to(v, shape).astype(np.float32, order="C")
+                 for v in _speeds_at(spec.wind, SplitMix64(seed), shape))
     zeros = np.zeros(shape, dtype=np.float32)
     return WindGrid(lons=lons, lats=lats, t0=t0, step=3600,
                     u10=u10, v10=zeros, u100=u100, v100=zeros)
@@ -198,6 +239,8 @@ def make_windgrid(spec: SynthSpec, seed: int) -> WindGrid:
 
 def generate_windgrid(spec: SynthSpec, seed: int) -> bytes:
     """WGRD bytes of ``make_windgrid``."""
+    from .windgrid import grid_to_bytes
+
     return grid_to_bytes(make_windgrid(spec, seed))
 
 
@@ -231,6 +274,9 @@ def brute_force_pin(grid: WindGrid, fleet: Fleet, period,
     Oracle for the chunked vectorized aggregation; guarded against instances
     large enough to make the loop unreasonable.
     """
+    from .powerflux import RHO, _stamp_slice, _study_slice, period_year
+    from .windgrid import hub_height_speed
+
     if climate_mode not in ("actual", "long_term_average"):
         raise ValueError(f"unknown climate mode {climate_mode!r}")
     turbines = fleet.turbines

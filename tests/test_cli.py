@@ -719,6 +719,11 @@ class TestBadFlagValues:
         ("synth", ["--rotor", "1e200,0"], "capacity inf kW"),
         ("synth", ["--specific-power", "1e308"], "capacity inf kW"),
         ("synth", ["--rotor", "1e-170,0"], "capacity 0.0 kW"),
+        # a finite start and slope whose last year leaves the float range
+        ("synth", ["--hub", "1e308,1e308", "--years", "2010:2011"],
+         "hub trend must be finite in every year"),
+        ("synth", ["--rotor", "1e308,1e308", "--years", "2010:2011"],
+         "rotor trend must be finite in every year"),
     ])
     def test_config_error(self, command, extra, message, fixture_dir, grid_csv, tmp_path,
                           registry_reads, capsys):

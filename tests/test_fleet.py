@@ -420,6 +420,25 @@ class TestAnnualSeries:
         with pytest.raises(ValueError):
             annual_counts(fleet_of([turbine("A")]), range(2010, 2010))
 
+    @pytest.mark.parametrize("year", [2010, 2011])
+    def test_overflowing_swept_area(self, year, tmp_path):
+        """A finite rotor diameter whose swept area leaves the float range:
+        the area is inf, and nan in a year that weighs it 0, and the fleet
+        stage fails on the series with exit 3.  No overflow warning is given
+        (the suite's filter makes a ``RuntimeWarning`` an error)."""
+        fleet = fleet_of([turbine("A", year=2010), turbine("B", year=year, rotor=1e200)])
+        areas = fleet_mod.swept_areas(fleet.turbines)
+        assert areas[1] == math.inf
+        registry = tmp_path / "turbines.csv"
+        registry.write_bytes(csv_bytes("A,-97.0,37.0,2010,80,100,2000,false,",
+                                       f"B,-97.0,37.0,{year},80,1e200,2000,false,"))
+        config = RunConfig(turbines=str(registry), windgrid="", generation="",
+                           start_year=2010, end_year=2011, out="")
+        with pytest.raises(PipelineError) as failure:
+            fleet_stage(config)
+        assert (failure.value.stage, failure.value.message, failure.value.exit_code) == (
+            "fleet", "series values must be finite", 3)
+
 
 class TestAnnualCapacity:
     def test_lifetime_retirement_boundary(self):

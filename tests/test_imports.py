@@ -130,5 +130,15 @@ def test_public_names_resolve_to_their_modules():
     assert got["version"] == windfleet.__version__
 
 
+def test_synth_module_loads_no_grid_or_kernel_code():
+    """The registry generator needs only ``synth``: the grid and kernel
+    modules are imported by the functions that use them."""
+    got = run_python("import json, sys\nimport windfleet.synth\n"
+                     "print(json.dumps(sorted(sys.modules)))")
+    loaded = {m for m in got if m.startswith("windfleet.")}
+    assert loaded == {"windfleet.synth", "windfleet.fleet", "windfleet.csvinput",
+                      "windfleet.series", "windfleet.errors"}
+
+
 def test_dir_lists_the_public_names():
     assert {name for names in PUBLIC_NAMES.values() for name in names} <= set(dir(windfleet))

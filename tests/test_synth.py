@@ -1,5 +1,8 @@
+import csv
+import io
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +12,81 @@ from windfleet.errors import DataError
 from windfleet.fleet import parse_turbine_csv, preprocess
 from windfleet.powerflux import aggregate_pin, parse_generation_csv, pout_series
 from windfleet.synth import (SplitMix64, SynthSpec, WindModel, brute_force_pin,
-                             _speeds_at, generate_fleet, generate_generation,
-                             generate_windgrid, make_windgrid)
+                             generate_fleet, generate_generation, generate_windgrid,
+                             make_windgrid)
 from windfleet.windgrid import grid_from_bytes
+
+
+#: seeds at the edges of the 64-bit state: negative, zero, 2**63 and beyond 2**64
+EDGE_SEEDS = (-1, -12345, 0, 1, 2 ** 63, 2 ** 64 + 7, 2 ** 70)
+
+_MASK64 = (1 << 64) - 1
+
+
+class ScalarSplitMix64:
+    """The reference generator: the splitmix64 recurrence on one Python int
+    at a time, with the scalar uniform and Box-Muller formulas."""
+
+    def __init__(self, seed):
+        self.state = seed & _MASK64
+        self.spare = None
+
+    def next_u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * (self.next_u64() >> 11) * 2.0 ** -53
+
+    def normal(self, mean, sd):
+        if self.spare is not None:
+            z, self.spare = self.spare, None
+        else:
+            u1 = ((self.next_u64() >> 11) + 1) * 2.0 ** -53
+            u2 = (self.next_u64() >> 11) * 2.0 ** -53
+            r = math.sqrt(-2.0 * math.log(u1))
+            z = r * math.cos(2.0 * math.pi * u2)
+            self.spare = r * math.sin(2.0 * math.pi * u2)
+        return mean + sd * z
+
+
+def reference_fleet(spec, seed):
+    """``generate_fleet`` one row at a time: two ``uniform`` draws, ``repr``
+    of every float and a ``csv.writer`` row per turbine."""
+    rng = ScalarSplitMix64(seed)
+    lon0, lon1, lat0, lat1 = spec.bbox
+    years = spec.year_list()
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["case_id", "xlong", "ylat", "p_year", "t_hh", "t_rd",
+                     "t_cap", "is_decommissioned", "d_year"])
+    for i in range(spec.n_turbines):
+        year = years[i % len(years)]
+        k = year - years[0]
+        lon = rng.uniform(lon0, lon1)
+        lat = rng.uniform(lat0, lat1)
+        hub = spec.hub_trend[0] + spec.hub_trend[1] * k
+        rotor = spec.rotor_trend[0] + spec.rotor_trend[1] * k
+        writer.writerow([f"S{i:05d}", repr(lon), repr(lat), year, repr(hub),
+                         repr(rotor), repr(spec.capacity_kw(rotor)), "false", ""])
+    return out.getvalue().encode("utf-8")
+
+
+def reference_speeds(model, rng, hour_index):
+    """(v10, v100) of one cell-hour by the scalar formulas; draws at most
+    one normal from ``rng``."""
+    if model.kind == "constant":
+        return model.params
+    if model.kind == "sinusoidal":
+        mean, amplitude, period = model.params
+        v100 = max(0.0, mean + amplitude * math.sin(2.0 * math.pi * hour_index / period))
+        return 0.8 * v100, v100
+    mean, sd = model.params
+    v100 = max(0.0, rng.normal(mean, sd))
+    return 0.8 * v100, v100
 
 
 def spec_of(**kwargs):
@@ -29,6 +104,33 @@ class TestSplitMix64:
         assert rng.next_u64() == 0x6E789E6AA1B965F4
         assert rng.next_u64() == 0x06C45D188009454F
 
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_draws_match_the_scalar_recurrence(self, seed):
+        """Array draws of any length continue the recurrence where the last
+        call left it, and the scalar draws are the same values."""
+        rng, ref = SplitMix64(seed), ScalarSplitMix64(seed)
+        for count in (0, 1, 2, 3, 97):
+            words = rng.draws(count)
+            assert words.dtype == np.uint64
+            assert words.tolist() == [ref.next_u64() for _ in range(count)]
+            assert rng.state == ref.state
+        assert [rng.next_u64() for _ in range(5)] == [ref.next_u64() for _ in range(5)]
+        assert [rng.uniform(-3.0, 9.5) for _ in range(5)] == [
+            ref.uniform(-3.0, 9.5) for _ in range(5)]
+        # an odd count of normals keeps a spare, which the next call returns
+        normals = [rng.normal(1.0, 2.5) for _ in range(7)]
+        assert normals == [ref.normal(1.0, 2.5) for _ in range(7)]
+        assert rng.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
+        assert rng.normal(0.0, 1.0) == ref.normal(0.0, 1.0)
+
+    def test_one_draw_wraps_without_a_warning(self):
+        rng = SplitMix64(_MASK64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rng.draws(1).tolist() == [ScalarSplitMix64(_MASK64).next_u64()]
+            rng.next_u64()
+            rng.normal()
+
     def test_uniform_range(self):
         rng = SplitMix64(123)
         values = [rng.uniform(2.0, 3.0) for _ in range(1000)]
@@ -42,6 +144,13 @@ class TestSplitMix64:
 
 
 class TestGenerateFleet:
+    def test_matches_a_per_row_writer(self):
+        for seed in EDGE_SEEDS:
+            for n in (1, 2, 3, 97):
+                spec = spec_of(n_turbines=n, years=(2010, 2014), hub_trend=(80.0, 2.5),
+                               rotor_trend=(100.0, 3.3), bbox=(-101.25, -99.0, 36.0, 37.7))
+                assert generate_fleet(spec, seed) == reference_fleet(spec, seed), (seed, n)
+
     def test_rows_per_year(self):
         data = generate_fleet(spec_of(), seed=1)
         records = parse_turbine_csv(data)
@@ -90,24 +199,31 @@ class TestGenerateWindgrid:
         grid = grid_from_bytes(generate_windgrid(spec, 13))
         assert (grid.u100 >= 0).all()
 
-    @pytest.mark.parametrize("wind", [WindModel("constant", (5.5, 9.25)),
-                                      WindModel("sinusoidal", (6.0, 7.0, 30.0)),
-                                      WindModel("noise", (4.0, 3.0))],
-                             ids=lambda w: w.kind)
+    @pytest.mark.parametrize("wind", [
+        WindModel("constant", (5.5, 9.25)),
+        WindModel("sinusoidal", (6.0, 7.0, 30.0)),
+        WindModel("noise", (4.0, 3.0)),
+        pytest.param(WindModel("sinusoidal", (1.0, 3.0, 24.0)), id="sinusoidal-clipped"),
+        pytest.param(WindModel("sinusoidal", (0.0, 5.0, 7.0)), id="sinusoidal-zero-mean"),
+        pytest.param(WindModel("sinusoidal", (4.0, 0.0, 30.0)),
+                     id="sinusoidal-zero-amplitude"),
+        pytest.param(WindModel("sinusoidal", (-0.0, 0.0, 5.0)), id="sinusoidal-negative-zero"),
+    ], ids=lambda w: w.kind)
     def test_matches_a_per_stamp_fill(self, wind):
         """The grid equals one filled a stamp (or, for noise, a cell-hour)
-        at a time with the same ``_speeds_at`` draws, in time-lat-lon order."""
+        at a time by the scalar formulas and generator, in time-lat-lon
+        order."""
         spec = spec_of(wind=wind, years=(2010, 2010), n_lat=2, n_lon=3)
-        rng = SplitMix64(21)
+        rng = ScalarSplitMix64(21)
         shape = (8760, 2, 3)
         u10, u100 = np.empty(shape, np.float32), np.empty(shape, np.float32)
         for k in range(shape[0]):
             if wind.kind != "noise":
-                u10[k], u100[k] = _speeds_at(wind, rng, k)
+                u10[k], u100[k] = reference_speeds(wind, rng, k)
                 continue
             for j in range(shape[1]):
                 for i in range(shape[2]):
-                    u10[k, j, i], u100[k, j, i] = _speeds_at(wind, rng, k)
+                    u10[k, j, i], u100[k, j, i] = reference_speeds(wind, rng, k)
         grid = make_windgrid(spec, 21)
         for name, expected in (("u10", u10), ("u100", u100)):
             actual = getattr(grid, name)
