@@ -133,7 +133,7 @@ def _cmd_synth(args) -> int:
 
     turbine_bytes = synth.generate_fleet(spec, args.seed)
     (out / "turbines.csv").write_bytes(turbine_bytes)
-    grid = synth.make_windgrid(spec, args.seed + 1)
+    grid = synth.broadcast_windgrid(spec, args.seed + 1)
     windgrid.write_windgrid(grid, out / "wind.wgrd")
 
     fleet = fleet_mod.preprocess(fleet_mod.parse_turbine_csv(turbine_bytes), set())

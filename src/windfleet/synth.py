@@ -18,7 +18,7 @@ import calendar
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -123,6 +123,16 @@ class WindModel:
             raise ValueError("wind speeds must be nonnegative")
         if self.kind == "sinusoidal" and self.params[2] <= 0:
             raise ValueError("period must be positive")
+        if self.kind == "constant":
+            largest = max(self.params)
+        elif self.kind == "sinusoidal":
+            largest = self.params[0] + abs(self.params[1])
+        else:  # a Box-Muller normal of 53-bit uniforms: |z| <= sqrt(-2 log 2**-53)
+            largest = self.params[0] + abs(self.params[1]) * math.sqrt(-2.0 * math.log(2.0 ** -53))
+        with np.errstate(over="ignore"):
+            if np.isinf(np.float32(largest)):
+                raise ValueError("wind speeds must be finite in float32 "
+                                 f"(largest {largest!r} m/s)")
 
 
 @dataclass
@@ -151,6 +161,8 @@ class SynthSpec:
         lon0, lon1, lat0, lat1 = self.bbox
         if lon0 >= lon1 or lat0 >= lat1:
             raise ValueError("bounding box must have positive extent")
+        if not math.isfinite(lon1 - lon0) or not math.isfinite(lat1 - lat0):
+            raise ValueError("bounding box extent must be finite")
         span = self.years[1] - self.years[0]
         for (start, per_year), name in ((self.hub_trend, "hub"), (self.rotor_trend, "rotor")):
             last = start + per_year * span  # a finite start and slope may overflow
@@ -220,8 +232,14 @@ def _speeds_at(model: WindModel, rng: SplitMix64,
     return 0.8 * v100, v100
 
 
-def make_windgrid(spec: SynthSpec, seed: int) -> WindGrid:
-    """Wind grid covering the requested years hourly on the requested grid."""
+def broadcast_windgrid(spec: SynthSpec, seed: int) -> WindGrid:
+    """Wind grid covering the requested years hourly on the requested grid.
+
+    Its fields are read-only float32 views that broadcast to (hour, lat,
+    lon): one value for constant wind, one an hour for sinusoidal wind, the
+    drawn cell-hours for noise, and a scalar 0.0 for both v components, so
+    only a noise grid holds a value per cell-hour.
+    """
     from .windgrid import WindGrid
 
     lon0, lon1, lat0, lat1 = spec.bbox
@@ -230,18 +248,27 @@ def make_windgrid(spec: SynthSpec, seed: int) -> WindGrid:
     t0 = calendar.timegm((spec.years[0], 1, 1, 0, 0, 0))
     t_end = calendar.timegm((spec.years[1] + 1, 1, 1, 0, 0, 0))
     shape = ((t_end - t0) // 3600, spec.n_lat, spec.n_lon)
-    u10, u100 = (np.broadcast_to(v, shape).astype(np.float32, order="C")
+    u10, u100 = (np.broadcast_to(v.astype(np.float32), shape)
                  for v in _speeds_at(spec.wind, SplitMix64(seed), shape))
-    zeros = np.zeros(shape, dtype=np.float32)
+    calm = np.broadcast_to(np.float32(0.0), shape)
     return WindGrid(lons=lons, lats=lats, t0=t0, step=3600,
-                    u10=u10, v10=zeros, u100=u100, v100=zeros)
+                    u10=u10, v10=calm, u100=u100, v100=calm)
+
+
+def make_windgrid(spec: SynthSpec, seed: int) -> WindGrid:
+    """``broadcast_windgrid`` with every field a C-contiguous copy."""
+    from .windgrid import VARIABLES
+
+    grid = broadcast_windgrid(spec, seed)
+    return replace(grid, **{name: np.array(grid.variable(name), order="C")
+                            for name in VARIABLES})
 
 
 def generate_windgrid(spec: SynthSpec, seed: int) -> bytes:
-    """WGRD bytes of ``make_windgrid``."""
+    """WGRD bytes of ``broadcast_windgrid``."""
     from .windgrid import grid_to_bytes
 
-    return grid_to_bytes(make_windgrid(spec, seed))
+    return grid_to_bytes(broadcast_windgrid(spec, seed))
 
 
 def generate_generation(fleet: Fleet, grid: WindGrid, true_efficiency,

@@ -9,9 +9,11 @@ arithmetic on it is done in 64-bit.
 
 Every pass over a payload reads it through one generator, ``stamp_windows``,
 in windows of at most ``max(1, WINDOW_VALUES // grid nodes)`` whole stamps:
-the finite check of ``WindGrid.validate`` (which ``load_windgrid`` runs) and
-the kernel pass.  An in-memory grid's windows are views; a file's are
-positioned reads into one reused buffer.  A loaded payload stays on disk,
+the finite check of ``WindGrid.validate`` (which ``load_windgrid`` runs),
+the writer behind ``write_windgrid`` and ``grid_to_bytes``, and the kernel
+pass.  An in-memory grid's windows are views, also of fields that broadcast
+one value or one value per stamp; a file's are positioned reads into one
+reused buffer.  A loaded payload stays on disk,
 mapped read-only, so a report holds the interpreter, numpy and its BLAS, the
 window, one turbine chunk's work arrays and the pass's one result array of
 sums per [height × block × turbine]: its memory grows neither with the file
@@ -122,13 +124,28 @@ class WindGrid:
 
 
 def _write_grid(grid: WindGrid, fh) -> None:
-    """Write a grid that passed ``validate``."""
+    """Write a grid that passed ``validate``, its payload one window at a
+    time.  On a destination that can seek, a window whose bits are all zero
+    is skipped (a hole in a file) and the output still ends at its full
+    length; elsewhere its zeros are written."""
     fh.write(_HEADER.pack(MAGIC, VERSION, grid.n_time, len(grid.lats),
                           len(grid.lons), grid.t0, grid.step))
     fh.write(np.ascontiguousarray(grid.lats, dtype="<f8"))
     fh.write(np.ascontiguousarray(grid.lons, dtype="<f8"))
-    for name in VARIABLES:
-        fh.write(np.ascontiguousarray(grid.variable(name), dtype="<f4"))
+    seekable = fh.seekable()
+    skipped = False
+    with stamp_windows(grid) as windows:
+        for name in VARIABLES:
+            for _, window in windows(name):
+                data = np.ascontiguousarray(window, dtype="<f4")
+                skipped = seekable and not data.view("<u4").any()
+                if skipped:
+                    fh.seek(data.nbytes, io.SEEK_CUR)
+                else:
+                    fh.write(data)
+    if skipped:  # a seek past the end does not lengthen the output; a write does
+        fh.seek(-1, io.SEEK_CUR)
+        fh.write(b"\0")
 
 
 def grid_to_bytes(grid: WindGrid) -> bytes:
@@ -139,8 +156,10 @@ def grid_to_bytes(grid: WindGrid) -> bytes:
 
 
 def write_windgrid(grid: WindGrid, path) -> None:
-    """Write ``grid`` as a WGRD file, one variable at a time; an invalid grid
-    fails before the file is opened."""
+    """Write ``grid`` as a WGRD file, its payload read through
+    ``stamp_windows`` one window at a time, so a grid of broadcast fields or
+    a file-backed grid is never held whole; an invalid grid fails before the
+    file is opened."""
     grid.validate()
     with open(path, "wb") as fh:
         _write_grid(grid, fh)

@@ -724,6 +724,13 @@ class TestBadFlagValues:
          "hub trend must be finite in every year"),
         ("synth", ["--rotor", "1e308,1e308", "--years", "2010:2011"],
          "rotor trend must be finite in every year"),
+        # finite wind parameters whose speeds leave the float32 range
+        ("synth", ["--wind", "sinusoidal:1e300,1e300,720"], "must be finite in float32"),
+        ("synth", ["--wind", "noise:1e308,1e308"], "must be finite in float32"),
+        ("synth", ["--wind", "constant:1e300,1e300"], "must be finite in float32"),
+        # a finite box whose extent leaves the float range
+        ("synth", ["--bbox", " -1e308", "1e308", "35", "40"],
+         "bounding box extent must be finite"),
     ])
     def test_config_error(self, command, extra, message, fixture_dir, grid_csv, tmp_path,
                           registry_reads, capsys):

@@ -1,8 +1,13 @@
 import csv
 import io
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +16,10 @@ from conftest import const_grid, fleet_of, grid_from_field, turbine
 from windfleet.errors import DataError
 from windfleet.fleet import parse_turbine_csv, preprocess
 from windfleet.powerflux import aggregate_pin, parse_generation_csv, pout_series
-from windfleet.synth import (SplitMix64, SynthSpec, WindModel, brute_force_pin,
-                             generate_fleet, generate_generation, generate_windgrid,
-                             make_windgrid)
-from windfleet.windgrid import grid_from_bytes
+from windfleet.synth import (SplitMix64, SynthSpec, WindModel, _box_muller,
+                             broadcast_windgrid, brute_force_pin, generate_fleet,
+                             generate_generation, generate_windgrid, make_windgrid)
+from windfleet.windgrid import VARIABLES, grid_from_bytes, grid_to_bytes
 
 
 #: seeds at the edges of the 64-bit state: negative, zero, 2**63 and beyond 2**64
@@ -231,11 +236,42 @@ class TestGenerateWindgrid:
             assert actual.tobytes() == expected.tobytes(), name
         assert not grid.v10.any() and not grid.v100.any()
 
+    @pytest.mark.parametrize("wind, stamp_strides", [
+        (WindModel("constant", (5.5, 9.25)), (0, 0, 0)),
+        (WindModel("sinusoidal", (6.0, 7.0, 30.0)), (4, 0, 0)),
+        (WindModel("noise", (4.0, 3.0)), (24, 12, 4)),
+    ], ids=["constant", "sinusoidal", "noise"])
+    def test_broadcast_fields(self, wind, stamp_strides):
+        """The written grid's fields are read-only f32 views that broadcast
+        one value, one an hour or (noise) one a cell-hour, and a scalar 0 for
+        v; its bytes are those of ``make_windgrid``'s copies."""
+        spec = spec_of(wind=wind, years=(2010, 2010), n_lat=2, n_lon=3)
+        grid = broadcast_windgrid(spec, 21)
+        for name in VARIABLES:
+            field = grid.variable(name)
+            assert field.dtype == np.float32 and not field.flags.writeable
+            assert field.strides == (stamp_strides if name[0] == "u" else (0, 0, 0))
+        assert generate_windgrid(spec, 21) == grid_to_bytes(make_windgrid(spec, 21))
+
     def test_bad_model(self):
         with pytest.raises(ValueError):
             WindModel("gusty", (1.0,))
         with pytest.raises(ValueError):
             WindModel("constant", (1.0,))
+
+    def test_speeds_must_be_finite_in_float32(self):
+        f32_max = float(np.finfo(np.float32).max)
+        # the largest speed of each model: v100, mean + |amplitude|, and mean +
+        # |sd| times the largest Box-Muller normal of 53-bit uniforms (~8.57),
+        # which words 0, 0 reach: u1 = 2**-53 and cos(0) = 1
+        assert _box_muller(np.zeros(2, np.uint64))[0] == math.sqrt(-2.0 * math.log(2.0 ** -53))
+        for kind, params in (("constant", (0.0, f32_max)), ("sinusoidal", (2e38, -1.4e38, 24.0)),
+                             ("noise", (1.0, 3.9e37))):
+            WindModel(kind, params)
+        for kind, params in (("constant", (3.5e38, 0.0)), ("sinusoidal", (2e38, -1.5e38, 24.0)),
+                             ("noise", (1.0, -4e37))):
+            with pytest.raises(ValueError, match="finite in float32"):
+                WindModel(kind, params)
 
 
 class TestGenerateGeneration:
@@ -320,3 +356,46 @@ class TestBruteForcePin:
                     fast = aggregate_pin(grid, fleet, (2010, 1), height, climate)
                     slow = brute_force_pin(grid, fleet, (2010, 1), height, climate)
                     assert fast == pytest.approx(slow, rel=1e-9)
+
+
+_SYNTH_CHILD = """
+import json, sys
+from pathlib import Path
+
+# imported before the baseline, so the growth counts no module code
+from windfleet import cli, fleet, powerflux, synth, windgrid
+
+
+def peak_kb():
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1])
+
+
+before = peak_kb()
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "growth_kb": peak_kb() - before}))
+"""
+
+
+class TestBoundedMemory:
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                        reason="needs /proc/self/status for the peak RSS")
+    def test_synth_memory_does_not_grow_with_file(self, tmp_path):
+        """``synth`` writes a sinusoidal grid (one value an hour, broadcast)
+        and runs the generation pass on it without holding its payload: a
+        1-year 27x27 grid is a 102 MB file, its u10 and u100 alone 51 MB."""
+        import windfleet
+        src = Path(windfleet.__file__).resolve().parents[1]
+        out = tmp_path / "bundle"
+        proc = subprocess.run(
+            [sys.executable, "-c", _SYNTH_CHILD, "synth", "--out", str(out),
+             "--n-turbines", "3", "--years", "2010:2010", "--grid", "27x27",
+             "--wind", "sinusoidal:8,2,720"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout.splitlines()[-1])
+        size = (out / "wind.wgrd").stat().st_size
+        assert child["code"] == 0 and size >= 100e6
+        assert child["growth_kb"] * 1024 < 0.25 * size, (child["growth_kb"], size)

@@ -1,6 +1,8 @@
 import math
+import os
 import random
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +13,9 @@ from hypothesis import strategies as st
 from conftest import const_grid, grid_from_field
 from windfleet import windgrid
 from windfleet.errors import DataError
-from windfleet.windgrid import (bilinear, cell_weights, grid_from_bytes, grid_from_csv,
-                                grid_to_bytes, hub_height_speed, load_windgrid,
-                                shear_exponent, speed_at_height,
+from windfleet.windgrid import (WindGrid, bilinear, cell_weights, grid_from_bytes,
+                                grid_from_csv, grid_to_bytes, hub_height_speed,
+                                load_windgrid, shear_exponent, speed_at_height,
                                 speed_from_components, write_windgrid)
 
 
@@ -150,6 +152,116 @@ class TestWgrdFormat:
         with pytest.raises(DataError, match="step must be positive"):
             write_windgrid(grid, path)
         assert not path.exists()
+
+    def test_zero_windows_are_file_holes(self, tmp_path):
+        """The 1 MiB v10 and v100 of a calm grid take no disk blocks where
+        the file system keeps holes."""
+        probe = tmp_path / "probe"
+        with open(probe, "wb") as fh:
+            fh.seek(1 << 20)
+            fh.write(b"\0")
+        if not hasattr(probe.stat(), "st_blocks") or probe.stat().st_blocks * 512 >= 1 << 20:
+            pytest.skip("the file system does not keep holes")
+        u = np.broadcast_to(np.float32(8.0), (4096, 8, 8))
+        calm = np.broadcast_to(np.float32(0.0), u.shape)
+        grid = WindGrid(lons=np.arange(8.0), lats=np.arange(8.0), t0=1262304000, step=3600,
+                        u10=u, v10=calm, u100=u, v100=calm)
+        path = tmp_path / "g.wgrd"
+        write_windgrid(grid, path)
+        assert path.read_bytes() == concatenated_bytes(grid)
+        st = path.stat()
+        assert st.st_blocks * 512 < st.st_size - (1 << 20), (st.st_blocks, st.st_size)
+
+
+def windowed_fields(case):
+    """(u10, v10, u100, v100) over 9 stamps of 2x2 nodes, random but for
+    the zero windows of ``case``; with 8 values a window, each variable is
+    five windows of 2, 2, 2, 2 and 1 stamps."""
+    rng = np.random.default_rng(17)
+    fields = [rng.random((9, 2, 2), dtype=np.float32) * 10.0 + 1.0 for _ in range(4)]
+    if case == "zeros-first":
+        fields[0][:2] = 0.0
+    elif case == "zeros-middle":
+        fields[1][:] = 0.0
+        fields[2][4:6] = 0.0
+    elif case == "zeros-last":
+        fields[2][8] = 0.0
+        fields[3][:] = 0.0
+    elif case == "negative-zero":
+        fields[1][2:4] = -0.0
+        fields[3][:] = -0.0
+    elif case == "float64":
+        fields = [f.astype(np.float64) * 1.1 for f in fields]  # not all exact in f32
+        fields[3][6:] = 0.0
+    elif case == "broadcast":  # the synth grid's fields: one value per stamp, a scalar 0
+        calm = np.broadcast_to(np.float32(0.0), (9, 2, 2))
+        per_stamp = np.broadcast_to(fields[0][:, :1, :1], (9, 2, 2))
+        fields = [per_stamp, calm, per_stamp * np.float32(2.0), calm]
+    return fields
+
+
+def concatenated_bytes(grid):
+    """The WGRD bytes of ``grid`` as one plain concatenation."""
+    header = struct.pack("<4s4I2q", b"WGRD", 1, grid.n_time, len(grid.lats),
+                         len(grid.lons), grid.t0, grid.step)
+    return b"".join([header, grid.lats.astype("<f8").tobytes(),
+                     grid.lons.astype("<f8").tobytes(),
+                     *(np.asarray(grid.variable(name), "<f4").tobytes()
+                       for name in windgrid.VARIABLES)])
+
+
+class TestWindowedWriter:
+    """The payload is written one window at a time, an all-zero window left
+    as a hole where the destination can seek, and the bytes are those of
+    every variable's f32 bytes in a row."""
+
+    CASES = ["zeros-first", "zeros-middle", "zeros-last", "negative-zero", "float64",
+             "broadcast"]
+
+    @pytest.fixture(autouse=True)
+    def small_windows(self, monkeypatch):
+        monkeypatch.setattr(windgrid, "WINDOW_VALUES", 8)
+
+    def grid(self, case):
+        return WindGrid(lons=np.array([-100.0, -99.0]), lats=np.array([40.0, 41.0]),
+                        t0=1262304000, step=3600,
+                        **dict(zip(windgrid.VARIABLES, windowed_fields(case))))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bytes(self, case):
+        grid = self.grid(case)
+        assert grid_to_bytes(grid) == concatenated_bytes(grid)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_file(self, case, tmp_path):
+        grid = self.grid(case)
+        write_windgrid(grid, tmp_path / "g.wgrd")
+        assert (tmp_path / "g.wgrd").read_bytes() == concatenated_bytes(grid)
+
+    def test_file_backed_grid(self, tmp_path):
+        """A loaded grid is written from positioned reads of its file."""
+        grid = self.grid("zeros-last")
+        write_windgrid(grid, tmp_path / "a.wgrd")
+        loaded = load_windgrid(tmp_path / "a.wgrd")
+        write_windgrid(loaded, tmp_path / "b.wgrd")
+        assert (tmp_path / "b.wgrd").read_bytes() == concatenated_bytes(grid)
+        assert grid_to_bytes(loaded) == concatenated_bytes(grid)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    @pytest.mark.parametrize("case", ["zeros-first", "zeros-last"])
+    def test_destination_that_cannot_seek(self, case, tmp_path):
+        """A pipe cannot seek: the zero windows are written as zeros."""
+        grid = self.grid(case)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            write_windgrid(grid, fifo)
+        finally:
+            reader.join(timeout=30)
+        assert received == [concatenated_bytes(grid)]
 
 
 class TestBilinear:
