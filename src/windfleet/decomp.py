@@ -6,7 +6,9 @@ the product of the four factors reconstructs the output exactly.  The
 additive decomposition splits input power density into a constant baseline,
 a new-locations effect (windiness at a fixed reference height under average
 climate), a hub-height effect, and annual climate variation; the four terms
-telescope back to the observed density.
+telescope back to the observed density.  Each returns its series and the
+worst relative error of its identity; ``pipeline.decomposition_stage`` makes
+the ``DecompositionResult`` from them in one call.
 """
 
 from __future__ import annotations
@@ -38,20 +40,23 @@ class AdditiveEffects:
     annual_variation: AnnualSeries
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecompositionResult:
+    """Made in one call, by ``pipeline.decomposition_stage``."""
+
     years: list[int]
-    factors: FactorSeries | None = None
-    indexed_factors: FactorSeries | None = None
-    additive: AdditiveEffects | None = None
+    factors: FactorSeries
+    indexed_factors: FactorSeries
     #: worst relative reconstruction error observed by the identity checks
-    factor_identity_error: float = 0.0
+    factor_identity_error: float
+    additive: AdditiveEffects | None = None
     additive_identity_error: float = 0.0
 
 
-def multiplicative_decomposition(n: AnnualSeries, area: AnnualSeries,
-                                 p_in: AnnualSeries, p_out: AnnualSeries) -> DecompositionResult:
-    """Split output power into N · (A/N) · (P_in/A) · (P_out/P_in)."""
+def multiplicative_decomposition(n: AnnualSeries, area: AnnualSeries, p_in: AnnualSeries,
+                                 p_out: AnnualSeries) -> tuple[FactorSeries, float]:
+    """Split output power into N · (A/N) · (P_in/A) · (P_out/P_in); returns
+    the four factors and the worst relative error of their product."""
     check_aligned(n, area, p_in, p_out)
     for name, s in (("n", n), ("area", area), ("p_in", p_in)):
         for year, v in s.items():
@@ -82,14 +87,12 @@ def multiplicative_decomposition(n: AnnualSeries, area: AnnualSeries,
         raise InvariantError(
             f"factor product deviates from output power by {worst:.3e} relative")
 
-    factors = FactorSeries(
+    return FactorSeries(
         n=AnnualSeries(n.start_year, list(n.values), "count"),
         area_per_turbine=AnnualSeries(n.start_year, area_per_turbine, "m²"),
         input_density=AnnualSeries(n.start_year, density, "W/m²"),
         efficiency=AnnualSeries(n.start_year, efficiency, "dimensionless"),
-    )
-    return DecompositionResult(years=list(n.years), factors=factors,
-                               factor_identity_error=worst)
+    ), worst
 
 
 def index_relative(series: AnnualSeries, base_year: int) -> AnnualSeries:
@@ -101,25 +104,22 @@ def index_relative(series: AnnualSeries, base_year: int) -> AnnualSeries:
                         [100.0 * v / base for v in series.values], "%")
 
 
-def indexed_factors(result: DecompositionResult, base_year: int) -> DecompositionResult:
-    """Attach base-year-indexed variants of the four factors."""
-    if result.factors is None:
-        raise ValueError("decomposition has no factors to index")
-    f = result.factors
-    result.indexed_factors = FactorSeries(
+def indexed_factors(f: FactorSeries, base_year: int) -> FactorSeries:
+    """The four factors, each in percent of its base-year value."""
+    return FactorSeries(
         n=index_relative(f.n, base_year),
         area_per_turbine=index_relative(f.area_per_turbine, base_year),
         input_density=index_relative(f.input_density, base_year),
         efficiency=index_relative(f.efficiency, base_year),
     )
-    return result
 
 
 def additive_pin_decomposition(p_in: AnnualSeries, p_in_avg: AnnualSeries,
                                p_in_76_avg: AnnualSeries, area: AnnualSeries,
-                               base_year: int) -> DecompositionResult:
+                               base_year: int) -> tuple[AdditiveEffects, float]:
     """Split input power density into baseline + location + hub height +
-    annual-variation effects, all in W/m².
+    annual-variation effects, all in W/m²; returns the effects and the worst
+    relative error of their sum.
 
     The baseline is the base-year density at the reference height under
     average climate, which makes the new-locations effect zero in the base
@@ -154,11 +154,9 @@ def additive_pin_decomposition(p_in: AnnualSeries, p_in_avg: AnnualSeries,
         raise InvariantError(
             f"additive effects deviate from input density by {worst:.3e} relative")
 
-    effects = AdditiveEffects(
+    return AdditiveEffects(
         baseline=baseline,
         new_locations=AnnualSeries(area.start_year, new_locations, "W/m²"),
         hub_height=AnnualSeries(area.start_year, hub_height, "W/m²"),
         annual_variation=AnnualSeries(area.start_year, annual_variation, "W/m²"),
-    )
-    return DecompositionResult(years=list(area.years), additive=effects,
-                               additive_identity_error=worst)
+    ), worst

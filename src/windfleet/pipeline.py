@@ -190,26 +190,24 @@ def config_from_mapping(values: dict[str, str]) -> RunConfig:
 
 def parse_scenario(label: str) -> fleet_mod.ScenarioSpec:
     """Scenario names: ``default``, ``drop-flagged``, ``lifetime-N``,
-    ``discard-missing-capacity``; combine with '+'."""
-    spec = fleet_mod.ScenarioSpec()
-    for part in label.split("+"):
-        part = part.strip()
-        if part == "default":
-            continue
-        elif part == "drop-flagged":
-            spec.drop_decommissioned_flagged = True
-        elif part == "discard-missing-capacity":
-            spec.impute_capacity = False
-        elif part.startswith("lifetime-"):
-            try:
-                spec.lifetime_years = int(part.removeprefix("lifetime-"))
-            except ValueError:
-                raise ConfigError(f"bad scenario {label!r}") from None
-            if spec.lifetime_years <= 0:
-                raise ConfigError(f"bad scenario {label!r}")
-        else:
-            raise ConfigError(f"unknown scenario {part!r}")
-    return spec
+    ``discard-missing-capacity``; combine with '+', with at most one lifetime."""
+    settings = {}
+    try:
+        for part in label.split("+"):
+            part = part.strip()
+            if part == "drop-flagged":
+                settings["drop_decommissioned_flagged"] = True
+            elif part == "discard-missing-capacity":
+                settings["impute_capacity"] = False
+            elif part.startswith("lifetime-"):
+                if "lifetime_years" in settings:
+                    raise ValueError("a second lifetime")
+                settings["lifetime_years"] = int(part.removeprefix("lifetime-"))
+            elif part != "default":
+                raise ConfigError(f"unknown scenario {part!r}")
+        return fleet_mod.ScenarioSpec(**settings)
+    except ValueError:
+        raise ConfigError(f"bad scenario {label!r}") from None
 
 
 def series_json(s: AnnualSeries) -> dict:
@@ -226,18 +224,13 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _factors(f: decomp.FactorSeries) -> dict[str, AnnualSeries]:
-    return {"n": f.n, "area_per_turbine": f.area_per_turbine,
-            "input_density": f.input_density, "efficiency": f.efficiency}
-
-
 def decomposition_json(result: decomp.DecompositionResult) -> dict:
     """The ``decomposition`` object of report.json; ``additive`` and its
     identity error only when the additive decomposition was computed."""
     payload = {
-        "factors": {k: series_json(s) for k, s in _factors(result.factors).items()},
+        "factors": {k: series_json(s) for k, s in vars(result.factors).items()},
         "indexed_factors": {k: series_json(s)
-                            for k, s in _factors(result.indexed_factors).items()},
+                            for k, s in vars(result.indexed_factors).items()},
         "factor_identity_error": result.factor_identity_error,
     }
     if result.additive is not None:
@@ -396,19 +389,22 @@ def decomposition_stage(n: AnnualSeries, area: AnnualSeries, p_in: AnnualSeries,
                         p_in_avg: AnnualSeries | None = None,
                         p_in_ref_avg: AnnualSeries | None = None,
                         ) -> decomp.DecompositionResult:
-    """The four factors, indexed to ``base_year``, and, given both long-term
-    average input powers, the additive input-density effects."""
+    """The one ``DecompositionResult``: the four factors, indexed to
+    ``base_year``, and, given both long-term average input powers, the
+    additive input-density effects."""
     from . import decomp
 
     with stage("decomp"):
-        result = decomp.multiplicative_decomposition(n, area, p_in, p_out)
-        decomp.indexed_factors(result, base_year)
+        factors, factor_error = decomp.multiplicative_decomposition(n, area, p_in, p_out)
+        indexed = decomp.indexed_factors(factors, base_year)
+        additive, additive_error = None, 0.0
         if p_in_avg is not None and p_in_ref_avg is not None:
-            additive = decomp.additive_pin_decomposition(p_in, p_in_avg, p_in_ref_avg,
-                                                         area, base_year)
-            result.additive = additive.additive
-            result.additive_identity_error = additive.additive_identity_error
-        return result
+            additive, additive_error = decomp.additive_pin_decomposition(
+                p_in, p_in_avg, p_in_ref_avg, area, base_year)
+        return decomp.DecompositionResult(
+            years=list(n.years), factors=factors, indexed_factors=indexed,
+            factor_identity_error=factor_error, additive=additive,
+            additive_identity_error=additive_error)
 
 
 @dataclass
@@ -619,9 +615,9 @@ def _write_bundle(staging: Path, report: dict, series: dict[str, AnnualSeries | 
     table("series.csv", ["year", "series", "value", "unit"],
           [[y, name, v, unit] for name, y, v, unit in _long_rows(series)])
 
-    components = {"factor_" + k: s for k, s in _factors(result.factors).items()}
-    components.update({"indexed_" + k: s
-                       for k, s in _factors(result.indexed_factors).items()})
+    # a FactorSeries's fields are the four factors, in their table order
+    components = {"factor_" + k: s for k, s in vars(result.factors).items()}
+    components.update({"indexed_" + k: s for k, s in vars(result.indexed_factors).items()})
     additive = result.additive
     components.update({"effect_new_locations": additive.new_locations,
                        "effect_hub_height": additive.hub_height,

@@ -3,7 +3,8 @@
 All power values are carried in watts, energies in watt-hours, areas in m².
 One kernel pass evaluates the cubed wind speed for every turbine and stamp
 and keeps its sum per turbine and stamp block (calendar month); every fleet
-input power series is then a weighted reduction of those sums.  The pass runs
+input power series is then a reduction of those sums under one climate rule,
+``_pin_pass``, which ``pin_series`` and ``report_pin`` share.  The pass runs
 over a fixed partition of the fleet into chunks; each chunk task prepares its
 own nodes and weights and evaluates them in three [turbine × stamp] work rows;
 the reductions are correctly rounded, so results are bit-identical at any
@@ -283,6 +284,33 @@ def cube_sums(grid: WindGrid, turbines: Iterable[TurbineRecord], height_modes,
     return CubeSums(bounds, sums, calm, 0.5 * RHO * areas)
 
 
+def _pin_pass(grid: WindGrid, turbines, series, study_span: tuple[int, int] | None,
+              workers: int) -> tuple[list[list[float]], int]:
+    """``pin_series`` of each ``(height_mode, climate_mode, periods)`` of
+    ``series`` from one kernel pass over the stamps they read, and the pass's
+    calm turbine-stamps.  Each period takes its year's ``operating_weights``,
+    one vector per distinct year."""
+    reads = []
+    for _, climate_mode, periods in series:
+        if climate_mode not in ("actual", "long_term_average"):
+            raise ValueError(f"unknown climate mode {climate_mode!r}")
+        stamps = [_stamp_slice(grid, p) for p in periods]
+        if climate_mode != "actual":
+            stamps = [_study_slice(grid, study_span)] * len(stamps)
+        reads.append(stamps)
+    if not turbines or not any(reads):
+        return [[0.0] * len(stamps) for stamps in reads], 0
+    span = (min(k0 for stamps in reads for k0, _ in stamps),
+            max(k1 for stamps in reads for _, k1 in stamps))
+    heights = list(dict.fromkeys(height for height, _, _ in series))
+    sums = cube_sums(grid, turbines, heights, span, workers)
+    weights = {year: operating_weights(turbines, year) for year in dict.fromkeys(
+        period_year(p) for *_, periods in series for p in periods)}
+    return [[sums.fleet_pin(heights.index(height), k, weights[period_year(p)])
+             for p, k in zip(periods, stamps)]
+            for (height, _, periods), stamps in zip(series, reads)], sums.calm_hours
+
+
 def pin_series(grid: WindGrid, fleet: Fleet, periods,
                height_mode="hub", climate_mode: str = "actual",
                study_span: tuple[int, int] | None = None,
@@ -297,20 +325,9 @@ def pin_series(grid: WindGrid, fleet: Fleet, periods,
     mean over ``study_span`` (whole grid coverage when not given).  Turbines
     in their commissioning year contribute with weight 0.5.
     """
-    if climate_mode not in ("actual", "long_term_average"):
-        raise ValueError(f"unknown climate mode {climate_mode!r}")
     periods = list(periods)
-    if not fleet.turbines or not periods:
-        return [0.0] * len(periods)
-    stamps = [_stamp_slice(grid, p) for p in periods]
-    if climate_mode == "actual":
-        span = min(k0 for k0, _ in stamps), max(k1 for _, k1 in stamps)
-    else:
-        span = _study_slice(grid, study_span)
-        stamps = [span] * len(periods)
-    sums = cube_sums(grid, fleet.turbines, [height_mode], span, workers)
-    return [sums.fleet_pin(0, k, operating_weights(fleet.turbines, period_year(p)))
-            for p, k in zip(periods, stamps)]
+    return _pin_pass(grid, fleet.turbines, [(height_mode, climate_mode, periods)],
+                     study_span, workers)[0][0]
 
 
 def aggregate_pin(grid: WindGrid, fleet: Fleet, period,
@@ -354,22 +371,18 @@ class ReportPin:
 def report_pin(grid: WindGrid, fleet: Fleet, years, reference_height: float,
                workers: int = 1) -> ReportPin:
     """Every P_in series of a report from one kernel pass over ``years``,
-    each year's reductions sharing its one operating-weight vector."""
+    the study span, reduced through ``pin_series``'s climate rule."""
     ys = list(years)
-    span = _stamp_slice(grid, ys[0], ys[-1])
-    sums = cube_sums(grid, fleet.turbines, ["hub", reference_height], span, workers)
-    annual, annual_avg, annual_ref_avg, monthly = [], [], [], []
-    for y in ys:
-        weights = operating_weights(fleet.turbines, y)
-        annual.append(sums.fleet_pin(0, _stamp_slice(grid, y), weights))
-        annual_avg.append(sums.fleet_pin(0, span, weights))
-        annual_ref_avg.append(sums.fleet_pin(1, span, weights))
-        monthly.extend(sums.fleet_pin(0, _stamp_slice(grid, (y, m)), weights)
-                       for m in range(1, 13))
+    months = [(y, m) for y in ys for m in range(1, 13)]
+    (annual, annual_avg, annual_ref_avg, monthly), calm_hours = _pin_pass(
+        grid, fleet.turbines,
+        [("hub", "actual", ys), ("hub", "long_term_average", ys),
+         (reference_height, "long_term_average", ys), ("hub", "actual", months)],
+        (ys[0], ys[-1]), workers)
     return ReportPin(annual=AnnualSeries(ys[0], annual, "W"),
                      annual_avg=AnnualSeries(ys[0], annual_avg, "W"),
                      annual_ref_avg=AnnualSeries(ys[0], annual_ref_avg, "W"),
-                     monthly=monthly, calm_hours=sums.calm_hours)
+                     monthly=monthly, calm_hours=calm_hours)
 
 
 # ---------------------------------------------------------------------------

@@ -43,14 +43,12 @@ class SplitMix64:
     z ^= z >> 31.  Uniform doubles take the top 53 bits.
 
     ``draws(count)`` mixes the next ``count`` states as one uint64 array
-    (the k-th is state + k·0x9E3779B97F4A7C15 mod 2⁶⁴), and ``next_u64``,
-    ``uniform`` and ``normal`` are built on it, so every value comes from
-    that one mixer and equals the k-th step of the recurrence.
+    (the k-th is state + k·0x9E3779B97F4A7C15 mod 2⁶⁴), so every value comes
+    from that one mixer and equals the k-th step of the recurrence.
     """
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
-        self._spare_normal: float | None = None
 
     def draws(self, count: int) -> np.ndarray:
         """The next ``count`` outputs, as a uint64 array."""
@@ -65,19 +63,6 @@ class SplitMix64:
             z ^= z >> np.uint64(31)
         self.state = (self.state + _GOLDEN * count) & _MASK64
         return z
-
-    def next_u64(self) -> int:
-        return int(self.draws(1)[0])
-
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return lo + (hi - lo) * (self.next_u64() >> 11) * 2.0 ** -53
-
-    def normal(self, mean: float = 0.0, sd: float = 1.0) -> float:
-        if self._spare_normal is not None:
-            z, self._spare_normal = self._spare_normal, None
-        else:
-            z, self._spare_normal = _box_muller(self.draws(2)).tolist()
-        return mean + sd * z
 
 
 def _libm(f, values: np.ndarray) -> np.ndarray:

@@ -158,9 +158,13 @@ def grid_to_bytes(grid: WindGrid) -> bytes:
 def write_windgrid(grid: WindGrid, path) -> None:
     """Write ``grid`` as a WGRD file, its payload read through
     ``stamp_windows`` one window at a time, so a grid of broadcast fields or
-    a file-backed grid is never held whole; an invalid grid fails before the
-    file is opened."""
+    a file-backed grid is never held whole.  An invalid grid, or a grid's own
+    file as ``path`` (which opening would truncate), fails before the open."""
     grid.validate()
+    if grid.source is not None and os.path.exists(path):
+        st = os.stat(path)
+        if (st.st_dev, st.st_ino) == (grid.source.dev, grid.source.ino):
+            raise DataError(f"cannot write a wind grid over its own file {path}")
     with open(path, "wb") as fh:
         _write_grid(grid, fh)
 

@@ -73,12 +73,11 @@ def test_01_constant_wind_closed_form():
             density = pins[label].value(year) / area.value(year)
             assert density == pytest.approx(expected, rel=1e-9), (label, year)
 
-    result = additive_pin_decomposition(pins["hub_actual"], pins["hub_average"],
+    add, _ = additive_pin_decomposition(pins["hub_actual"], pins["hub_average"],
                                         pins["ref_average"], area, 2010)
-    baseline = result.additive.baseline
+    baseline = add.baseline
     assert baseline == pytest.approx(expected, rel=1e-9)
-    for effect in (result.additive.new_locations, result.additive.hub_height,
-                   result.additive.annual_variation):
+    for effect in (add.new_locations, add.hub_height, add.annual_variation):
         for v in effect.values:
             assert abs(v) <= 1e-9 * baseline
 
@@ -95,8 +94,7 @@ def test_02_multiplicative_identity_randomized():
         area = AnnualSeries(2010, [rng.uniform(10, 1e7) for _ in range(length)], "m²")
         p_in = AnnualSeries(2010, [rng.uniform(1e3, 1e9) for _ in range(length)], "W")
         p_out = AnnualSeries(2010, [rng.uniform(1e2, 1e8) for _ in range(length)], "W")
-        result = multiplicative_decomposition(n, area, p_in, p_out)
-        f = result.factors
+        f, _ = multiplicative_decomposition(n, area, p_in, p_out)
         for i, expected in enumerate(p_out.values):
             product = (f.n.values[i] * f.area_per_turbine.values[i]
                        * f.input_density.values[i] * f.efficiency.values[i])
@@ -113,8 +111,7 @@ def test_03_additive_telescoping_randomized():
         p_in = AnnualSeries(2010, [rng.uniform(1e8, 2e9) for _ in range(length)], "W")
         p_avg = AnnualSeries(2010, [rng.uniform(1e8, 2e9) for _ in range(length)], "W")
         p_ref = AnnualSeries(2010, [rng.uniform(1e8, 2e9) for _ in range(length)], "W")
-        result = additive_pin_decomposition(p_in, p_avg, p_ref, area, base_year)
-        add = result.additive
+        add, _ = additive_pin_decomposition(p_in, p_avg, p_ref, area, base_year)
         for i in range(length):
             total = (add.baseline + add.new_locations.values[i]
                      + add.hub_height.values[i] + add.annual_variation.values[i])

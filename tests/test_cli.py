@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -679,6 +680,13 @@ class TestScenarioParsing:
             parse_scenario("lifetime-zero")
         with pytest.raises(ConfigError):
             parse_scenario("frob")
+
+    @pytest.mark.parametrize("label", ["lifetime-0", "lifetime--5", "drop-flagged+lifetime-0",
+                                       "lifetime-0+lifetime-20", "lifetime-20+lifetime-30"])
+    def test_bad_lifetime(self, label):
+        """The spec checks the lifetime; a label names at most one."""
+        with pytest.raises(ConfigError, match=f"^bad scenario {re.escape(repr(label))}$"):
+            parse_scenario(label)
 
 
 class TestBadFlagValues:

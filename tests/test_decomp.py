@@ -14,9 +14,8 @@ def series(values, unit="W", start=2010):
 
 class TestMultiplicativeDecomposition:
     def test_worked_example(self):
-        result = multiplicative_decomposition(
+        f, _ = multiplicative_decomposition(
             series([2], "count"), series([200], "m²"), series([1000]), series([100]))
-        f = result.factors
         assert f.n.values == [2.0]
         assert f.area_per_turbine.values == [100.0]
         assert f.input_density.values == [5.0]
@@ -25,9 +24,8 @@ class TestMultiplicativeDecomposition:
         assert product == pytest.approx(100.0, rel=1e-12)
 
     def test_all_ones(self):
-        result = multiplicative_decomposition(
+        f, _ = multiplicative_decomposition(
             series([1, 1], "count"), series([1, 1], "m²"), series([1, 1]), series([1, 1]))
-        f = result.factors
         for s in (f.n, f.area_per_turbine, f.input_density, f.efficiency):
             assert s.values == [1.0, 1.0]
 
@@ -39,13 +37,12 @@ class TestMultiplicativeDecomposition:
             area = series([rng.uniform(1, 1e7) for _ in range(length)], "m²")
             p_in = series([rng.uniform(1, 1e9) for _ in range(length)])
             p_out = series([rng.uniform(1, 1e8) for _ in range(length)])
-            result = multiplicative_decomposition(n, area, p_in, p_out)
-            f = result.factors
+            f, error = multiplicative_decomposition(n, area, p_in, p_out)
             for i, expected in enumerate(p_out.values):
                 product = (f.n.values[i] * f.area_per_turbine.values[i]
                            * f.input_density.values[i] * f.efficiency.values[i])
                 assert abs(product - expected) <= 1e-12 * expected
-            assert result.factor_identity_error <= 1e-12
+            assert error <= 1e-12
 
     def test_misaligned_years(self):
         with pytest.raises(DataError, match="misaligned"):
@@ -71,10 +68,10 @@ class TestMultiplicativeDecomposition:
                                          series([1, p_in]), series([1, p_out]))
 
     def test_zero_output_is_a_zero_efficiency(self):
-        result = multiplicative_decomposition(series([2], "count"), series([200], "m²"),
-                                              series([1000]), series([0.0]))
-        assert result.factors.efficiency.values == [0.0]
-        assert result.factor_identity_error == 0.0
+        f, error = multiplicative_decomposition(series([2], "count"), series([200], "m²"),
+                                                series([1000]), series([0.0]))
+        assert f.efficiency.values == [0.0]
+        assert error == 0.0
 
 
 class TestIndexRelative:
@@ -98,10 +95,14 @@ class TestIndexRelative:
         with pytest.raises(DataError):
             index_relative(series([1, 2]), 2009)
 
-    def test_indexed_factors_requires_factors(self):
-        from windfleet.decomp import DecompositionResult
-        with pytest.raises(ValueError):
-            indexed_factors(DecompositionResult(years=[2010]), 2010)
+    def test_indexed_factors_is_a_new_series(self):
+        f, _ = multiplicative_decomposition(series([2, 4], "count"), series([200, 600], "m²"),
+                                            series([1000, 1500]), series([100, 120]))
+        indexed = indexed_factors(f, 2011)
+        assert indexed.n.values == [50.0, 100.0]
+        assert indexed.area_per_turbine.values == [pytest.approx(200.0 / 3), 100.0]
+        assert indexed.efficiency.unit == "%"
+        assert f.n.values == [2.0, 4.0] and f.n.unit == "count"
 
 
 class TestAdditiveDecomposition:
@@ -110,8 +111,7 @@ class TestAdditiveDecomposition:
         # three mode variants coincide and every effect vanishes
         p = series([500.0, 500.0, 500.0])
         area = series([10.0, 10.0, 10.0], "m²")
-        result = additive_pin_decomposition(p, p, p, area, 2010)
-        add = result.additive
+        add, _ = additive_pin_decomposition(p, p, p, area, 2010)
         assert add.baseline == pytest.approx(50.0)
         for effect in (add.new_locations, add.hub_height, add.annual_variation):
             assert effect.values == [0.0, 0.0, 0.0]
@@ -129,8 +129,7 @@ class TestAdditiveDecomposition:
         p_avg = series(p_avg_values)
         p_in = series(p_avg_values)  # actual equals average climate
         area = series([area_value] * 3, "m²")
-        result = additive_pin_decomposition(p_in, p_avg, p_ref, area, 2010)
-        add = result.additive
+        add, _ = additive_pin_decomposition(p_in, p_avg, p_ref, area, 2010)
         assert add.new_locations.values == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
         assert add.annual_variation.values == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
         assert add.hub_height.values[0] == pytest.approx(0.0, abs=1e-12)
@@ -146,15 +145,15 @@ class TestAdditiveDecomposition:
             p_in = series([rng.uniform(0.5, 2e9) for _ in range(length)])
             p_avg = series([rng.uniform(0.5, 2e9) for _ in range(length)])
             p_ref = series([rng.uniform(0.5, 2e9) for _ in range(length)])
-            result = additive_pin_decomposition(p_in, p_avg, p_ref, area, base_year)
-            add = result.additive
-            for i, year in enumerate(result.years):
+            add, error = additive_pin_decomposition(p_in, p_avg, p_ref, area, base_year)
+            for i in range(length):
                 total = (add.baseline + add.new_locations.values[i]
                          + add.hub_height.values[i] + add.annual_variation.values[i])
                 density = p_in.values[i] / area.values[i]
                 scale = max(abs(density), abs(add.baseline))
                 assert abs(total - density) <= 1e-12 * scale
             assert add.new_locations.value(base_year) == 0.0
+            assert error <= 1e-12
 
     def test_misaligned(self):
         with pytest.raises(DataError, match="misaligned"):

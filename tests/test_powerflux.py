@@ -106,6 +106,12 @@ class TestAggregatePin:
     def test_empty_fleet(self):
         assert aggregate_pin(self.grid_2010(), fleet_of([]), 2010) == 0.0
 
+    def test_empty_fleet_still_validates_the_period(self):
+        with pytest.raises(DataError, match="not covered"):
+            aggregate_pin(const_grid(n_time=24), fleet_of([]), 2011)
+        with pytest.raises(ValueError, match="unknown climate mode 'hourly'"):
+            aggregate_pin(self.grid_2010(), fleet_of([]), 2010, climate_mode="hourly")
+
     def test_colocated_turbines_double(self):
         grid = self.grid_2010()
         one = fleet_of([turbine("A", year=2009)])
@@ -223,7 +229,8 @@ class TestAggregatePin:
 class TestPolicyFreeReductions:
     """``CubeSums.fleet_pin`` reduces a pass over the stamps and with the
     weights its caller chooses; ``report_pin`` builds one weight vector a
-    study year and shares it between that year's fifteen reductions."""
+    study year and shares it between that year's fifteen reductions, and
+    ``pin_series`` builds one a year for its periods of that year."""
 
     YEARS = range(2010, 2015)
 
@@ -255,6 +262,20 @@ class TestPolicyFreeReductions:
         assert pins.annual_ref_avg.values == powerflux.pin_series(
             grid, fleet, ys, 76.0, "long_term_average", span)
         assert pins.monthly == powerflux.pin_series(grid, fleet, months)
+
+    def test_pin_series_one_weight_vector_per_year(self, monkeypatch):
+        ys = self.YEARS
+        grid = self.grid(sum(hours_in_period(y) for y in ys))
+        fleet = fleet_of([turbine(f"T{i}", lon=-99.0 + i, lat=36.0 + 0.5 * i,
+                                  year=2008 + 2 * i) for i in range(4)])
+        calls, weights = [], powerflux.operating_weights
+        monkeypatch.setattr(powerflux, "operating_weights",
+                            lambda turbines, year: calls.append(year) or weights(turbines, year))
+        months = [(y, m) for y in ys for m in range(1, 13)]
+        for climate in ("actual", "long_term_average"):
+            calls.clear()
+            powerflux.pin_series(grid, fleet, months, "hub", climate, (ys[0], ys[-1]))
+            assert calls == list(ys)  # 60 calls when each month built its own
 
     @pytest.mark.parametrize("stamps", [(1, 744), (0, 743), (0, 745), (744, 1488),
                                         (-744, 744)])
@@ -782,7 +803,7 @@ class TestRatios:
             AnnualSeries(2010, p_in, "W"), AnnualSeries(2010, [0.1 * p for p in p_in], "W"))
 
     def test_density_scale_invariance(self):
-        density = [self.decomposition([area], [p_in]).factors.input_density.values
+        density = [self.decomposition([area], [p_in])[0].input_density.values
                    for p_in, area in ((500.0, 10.0), (1000.0, 20.0))]
         assert density == [[50.0], [50.0]]
 

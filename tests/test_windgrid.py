@@ -247,6 +247,26 @@ class TestWindowedWriter:
         assert (tmp_path / "b.wgrd").read_bytes() == concatenated_bytes(grid)
         assert grid_to_bytes(loaded) == concatenated_bytes(grid)
 
+    @pytest.mark.parametrize("link", [None, "hard", "symbolic"])
+    def test_own_file_refused(self, tmp_path, link):
+        """Opening the grid's own file for writing would truncate the payload
+        the write reads: the write is refused and the file keeps its bytes."""
+        path = tmp_path / "a.wgrd"
+        write_windgrid(self.grid("zeros-middle"), path)
+        before = path.read_bytes()
+        loaded = load_windgrid(path)
+        target = tmp_path / "link.wgrd"
+        if link == "hard":
+            os.link(path, target)
+        elif link == "symbolic":
+            target.symlink_to(path)
+        else:
+            target = path
+        with pytest.raises(DataError, match="over its own file"):
+            write_windgrid(loaded, target)
+        assert path.read_bytes() == before
+        assert grid_to_bytes(loaded) == before
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
     @pytest.mark.parametrize("case", ["zeros-first", "zeros-last"])
     def test_destination_that_cannot_seek(self, case, tmp_path):
