@@ -39,12 +39,17 @@ class AdditiveEffects:
     hub_height: AnnualSeries
     annual_variation: AnnualSeries
 
+    @property
+    def effects(self) -> dict[str, AnnualSeries]:
+        """The effect series by field name, in field order."""
+        return {k: s for k, s in vars(self).items() if k != "baseline"}
+
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """Made in one call, by ``pipeline.decomposition_stage``."""
+    """Made in one call, by ``pipeline.decomposition_stage``; its years are
+    ``factors.n.years``."""
 
-    years: list[int]
     factors: FactorSeries
     indexed_factors: FactorSeries
     #: worst relative reconstruction error observed by the identity checks
@@ -106,12 +111,7 @@ def index_relative(series: AnnualSeries, base_year: int) -> AnnualSeries:
 
 def indexed_factors(f: FactorSeries, base_year: int) -> FactorSeries:
     """The four factors, each in percent of its base-year value."""
-    return FactorSeries(
-        n=index_relative(f.n, base_year),
-        area_per_turbine=index_relative(f.area_per_turbine, base_year),
-        input_density=index_relative(f.input_density, base_year),
-        efficiency=index_relative(f.efficiency, base_year),
-    )
+    return FactorSeries(**{k: index_relative(s, base_year) for k, s in vars(f).items()})
 
 
 def additive_pin_decomposition(p_in: AnnualSeries, p_in_avg: AnnualSeries,

@@ -234,14 +234,8 @@ def decomposition_json(result: decomp.DecompositionResult) -> dict:
         "factor_identity_error": result.factor_identity_error,
     }
     if result.additive is not None:
-        a = result.additive
-        payload["additive"] = {
-            "baseline_w_m2": a.baseline,
-            "new_locations": series_json(a.new_locations),
-            "hub_height": series_json(a.hub_height),
-            "annual_variation": series_json(a.annual_variation),
-            "note": ADDITIVE_NOTE,
-        }
+        payload["additive"] = {k: series_json(s) for k, s in result.additive.effects.items()}
+        payload["additive"].update(baseline_w_m2=result.additive.baseline, note=ADDITIVE_NOTE)
         payload["additive_identity_error"] = result.additive_identity_error
     return payload
 
@@ -402,9 +396,8 @@ def decomposition_stage(n: AnnualSeries, area: AnnualSeries, p_in: AnnualSeries,
             additive, additive_error = decomp.additive_pin_decomposition(
                 p_in, p_in_avg, p_in_ref_avg, area, base_year)
         return decomp.DecompositionResult(
-            years=list(n.years), factors=factors, indexed_factors=indexed,
-            factor_identity_error=factor_error, additive=additive,
-            additive_identity_error=additive_error)
+            factors=factors, indexed_factors=indexed, factor_identity_error=factor_error,
+            additive=additive, additive_identity_error=additive_error)
 
 
 @dataclass
@@ -615,30 +608,26 @@ def _write_bundle(staging: Path, report: dict, series: dict[str, AnnualSeries | 
     table("series.csv", ["year", "series", "value", "unit"],
           [[y, name, v, unit] for name, y, v, unit in _long_rows(series)])
 
-    # a FactorSeries's fields are the four factors, in their table order
+    # the FactorSeries and AdditiveEffects fields, in their table order
     components = {"factor_" + k: s for k, s in vars(result.factors).items()}
     components.update({"indexed_" + k: s for k, s in vars(result.indexed_factors).items()})
     additive = result.additive
-    components.update({"effect_new_locations": additive.new_locations,
-                       "effect_hub_height": additive.hub_height,
-                       "effect_annual_variation": additive.annual_variation})
+    components.update({"effect_" + k: s for k, s in additive.effects.items()})
     table("decomposition.csv", ["year", "component", "value", "unit"],
           [[y, name, v, unit] for name, y, v, unit in _long_rows(components)])
 
     segments: dict[int, list[tuple[str, float, float]]] = {}
-    for i, year in enumerate(result.years):
+    for i, year in enumerate(result.factors.n.years):
         level, segments[year] = 0.0, []
-        for label, v in (("baseline", additive.baseline),
-                         ("new_locations", additive.new_locations.values[i]),
-                         ("hub_height", additive.hub_height.values[i]),
-                         ("annual_variation", additive.annual_variation.values[i])):
+        for label, v in [("baseline", additive.baseline),
+                         *((k, s.values[i]) for k, s in additive.effects.items())]:
             segments[year].append((label, level, level + v))
             level += v
     table("waterfall.csv", ["year", "component", "y0", "y1"],
           [[year, label, _num(y0), _num(y1)]
            for year, segs in segments.items() for label, y0, y1 in segs])
 
-    months = [(y, m) for y in result.years for m in range(1, 13)]
+    months = [(y, m) for y in result.factors.n.years for m in range(1, 13)]
     table("monthly.csv",
           ["year", "month", "p_in_w", "p_out_w", "efficiency", "input_power_density_w_m2"],
           [[y, m, _num(pi), _num(po), _num(e), _num(d)]
@@ -659,7 +648,7 @@ def emit_plots(power: PowerSeries, result: decomp.DecompositionResult, trend: Tr
     """One SVG per result display; every chart's data also exists as CSV."""
     from . import svgplot
 
-    years = result.years
+    years = result.factors.n.years
     plots: dict[str, str] = {}
 
     fit = trend.fits["output_power_density"]
@@ -685,16 +674,13 @@ def emit_plots(power: PowerSeries, result: decomp.DecompositionResult, trend: Tr
         "System efficiency", "year", "efficiency", eff_series,
         annotation=svgplot.slope_label(trend.fits["efficiency"].slope))
 
-    additive = result.additive
     plots["additive_effects.svg"] = svgplot.grouped_bars(
         "Input power density effects", "year", "W/m2", years,
-        [("new locations", additive.new_locations.values),
-         ("hub height", additive.hub_height.values),
-         ("annual variation", additive.annual_variation.values)])
+        [(k.replace("_", " "), s.values) for k, s in result.additive.effects.items()])
 
     plots["waterfall.svg"] = svgplot.stacked_segments(
         "Input power density build-up", "year", "W/m2", years, segments,
-        ["baseline", "new_locations", "hub_height", "annual_variation"])
+        list(vars(result.additive)))
 
     plots["efficiency_vs_density.svg"] = svgplot.scatter_chart(
         "Monthly system efficiency vs input power density",

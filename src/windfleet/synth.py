@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fleet import Fleet, operating_weight, rotor_swept_area
+from .fleet import REQUIRED_COLUMNS, Fleet, operating_weight, rotor_swept_area
 
 if TYPE_CHECKING:  # the grid and kernel modules are imported where they run
     from .windgrid import WindGrid
@@ -138,6 +138,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_turbines <= 0 or self.n_lat <= 0 or self.n_lon <= 0:
             raise ValueError("counts must be positive")
+        if self.n_lat < 2 or self.n_lon < 2:  # a one-node axis has no extent
+            raise ValueError("grid needs at least 2 nodes on each axis")
         if self.years[0] > self.years[1]:
             raise ValueError("years must be an ascending (start, end) pair")
         if not all(map(math.isfinite, (*self.bbox, *self.hub_trend, *self.rotor_trend,
@@ -148,6 +150,8 @@ class SynthSpec:
             raise ValueError("bounding box must have positive extent")
         if not math.isfinite(lon1 - lon0) or not math.isfinite(lat1 - lat0):
             raise ValueError("bounding box extent must be finite")
+        if not (-180.0 <= lon0 and lon1 <= 180.0 and -90.0 <= lat0 and lat1 <= 90.0):
+            raise ValueError("bounding box must lie within lon -180..180 and lat -90..90")
         span = self.years[1] - self.years[0]
         for (start, per_year), name in ((self.hub_trend, "hub"), (self.rotor_trend, "rotor")):
             last = start + per_year * span  # a finite start and slope may overflow
@@ -194,7 +198,7 @@ def generate_fleet(spec: SynthSpec, seed: int) -> bytes:
         tails.append(f"{year},{hub!r},{rotor!r},{spec.capacity_kw(rotor)!r},false,\n")
     rows = (f"S{i:05d},{lon!r},{lat!r},{tails[i % len(tails)]}"
             for i, (lon, lat) in enumerate(zip(lons.tolist(), lats.tolist())))
-    header = "case_id,xlong,ylat,p_year,t_hh,t_rd,t_cap,is_decommissioned,d_year\n"
+    header = ",".join(REQUIRED_COLUMNS) + "\n"
     return "".join([header, *rows]).encode("utf-8")
 
 

@@ -60,6 +60,13 @@ class TestSynthCommand:
         assert values["start_year"] == "2010"
         assert Path(values["turbines"]).is_file()
 
+    def test_whole_globe_box(self, tmp_path):
+        """The coordinate limits themselves are inside the box's range."""
+        out = tmp_path / "globe"
+        assert main(["synth", "--out", str(out), "--bbox", "-180", "180", "-90", "90",
+                     "--n-turbines", "3", "--years", "2010:2010"]) == 0
+        assert (out / "run.conf").is_file()
+
 
 class TestConvertGrid:
     def make_csv(self, path, drop_last=False, u10="3"):
@@ -739,6 +746,15 @@ class TestBadFlagValues:
         # a finite box whose extent leaves the float range
         ("synth", ["--bbox", " -1e308", "1e308", "35", "40"],
          "bounding box extent must be finite"),
+        # a one-node axis has no extent for a turbine to lie on
+        ("synth", ["--grid", "1x1", "--n-turbines", "3"],
+         "grid needs at least 2 nodes on each axis"),
+        ("synth", ["--grid", "1x3"], "grid needs at least 2 nodes on each axis"),
+        # a box beyond the registry's coordinate ranges
+        ("synth", ["--bbox", "-100", "-95", "85", "95"],
+         "bounding box must lie within lon -180..180 and lat -90..90"),
+        ("synth", ["--bbox", "170", "190", "30", "40"],
+         "bounding box must lie within lon -180..180 and lat -90..90"),
     ])
     def test_config_error(self, command, extra, message, fixture_dir, grid_csv, tmp_path,
                           registry_reads, capsys):

@@ -11,11 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import const_grid, fleet_of, grid_from_field, turbine
 from windfleet.errors import DataError
 from windfleet.fleet import parse_turbine_csv, preprocess
-from windfleet.powerflux import aggregate_pin, parse_generation_csv, pout_series
+from windfleet.powerflux import aggregate_pin, cube_sums, parse_generation_csv, pout_series
 from windfleet.synth import (SplitMix64, SynthSpec, WindModel, _box_muller,
                              broadcast_windgrid, brute_force_pin, generate_fleet,
                              generate_generation, generate_windgrid, make_windgrid)
@@ -162,6 +164,29 @@ class TestGenerateFleet:
         for r in parse_turbine_csv(generate_fleet(spec, 3)):
             assert -101.0 <= r.lon <= -99.0
             assert 36.0 <= r.lat <= 37.0
+
+
+def coordinate(bound):
+    """A coordinate drawn across, and often at, the registry's limit ``bound``."""
+    return st.floats(-1.1 * bound, 1.1 * bound) | st.sampled_from([-bound, bound])
+
+
+class TestSpecOnItsGrid:
+    @settings(max_examples=100, deadline=None)
+    @given(n_lat=st.integers(1, 4), n_lon=st.integers(1, 4),
+           lons=st.tuples(coordinate(180.0), coordinate(180.0)),
+           lats=st.tuples(coordinate(90.0), coordinate(90.0)),
+           n_turbines=st.integers(1, 20), seed=st.integers(0, 2 ** 64))
+    def test_a_spec_that_constructs_places_every_turbine_on_its_grid(
+            self, n_lat, n_lon, lons, lats, n_turbines, seed):
+        try:
+            spec = spec_of(n_turbines=n_turbines, years=(2010, 2010), n_lat=n_lat,
+                           n_lon=n_lon, bbox=(*sorted(lons), *sorted(lats)))
+        except ValueError:
+            return
+        fleet = preprocess(parse_turbine_csv(generate_fleet(spec, seed)), set())
+        sums = cube_sums(broadcast_windgrid(spec, seed + 1), fleet.turbines, ["hub"], (0, 24))
+        assert np.isfinite(sums.sums).all()
 
 
 class TestGenerateWindgrid:
