@@ -1,17 +1,19 @@
 """The CSV format of every input table: registry, reference, generation, grid
 and series files.
 
-A file is UTF-8, decoded as it is read.  Rows end at ``\\n`` or ``\\r\\n``; a
-lone ``\\r`` outside quotes is a ``DataError`` naming its row, as is a field
-over ``csv.field_size_limit()``.  Header cells are stripped.  Data rows are
-numbered from 1 (the header is row 0), and blank rows are skipped but
-counted.  A file that does not decode raises its ``UnicodeDecodeError``
-before any other error.  A table is read from bytes or from a binary file, as
-a stream: only the rows being checked are held.
+A file is UTF-8, decoded as it is read; a leading byte-order mark is
+skipped.  Rows end at ``\\n`` or ``\\r\\n``; a lone ``\\r`` outside quotes is a
+``DataError`` naming its row, as is a field over ``csv.field_size_limit()``.
+Header cells are stripped.  Data rows are numbered from 1 (the header is row
+0), and blank rows are skipped but counted.  A file that does not decode
+raises its ``UnicodeDecodeError``, at its byte offset in the file, before
+any other error.  A table is read from bytes or from a binary file, as a
+stream: only the rows being checked are held.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
@@ -92,6 +94,8 @@ def table(source: bytes | BinaryIO, what: str = "",
     newlines = sum(chunk.count(b"\n")
                    for chunk in iter(lambda: binary.read(_COUNT_BYTES), b""))
     binary.seek(start)
+    if binary.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:  # a leading BOM is skipped
+        binary.seek(start)
     text = io.TextIOWrapper(binary, encoding="utf-8", newline="\n")
     try:
         reader = csv.reader(text)

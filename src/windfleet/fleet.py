@@ -6,10 +6,11 @@ no commissioning year are dropped during preprocessing, the remaining missing
 meta parameters (hub height, rotor diameter, capacity) are filled by
 per-commissioning-year mean imputation.
 
-In memory the registry is one ``TurbineColumns`` table: every field is an
-array in registry order, and parsing, merging, imputation and every annual
-reduction are array operations on it.  ``TurbineRecord`` is the one-turbine
-view that the table builds on demand.
+In memory the registry is one ``TurbineColumns`` table: every field is a
+flat numpy array in registry order, the ids a ``StringDType`` column (about
+78 bytes a turbine in all), and parsing, merging, imputation and every
+annual reduction are array operations on it.  ``TurbineRecord`` is the
+one-turbine view that the table builds on demand.
 
 The ingest holds one table at a time.  ``parse_turbine_csv`` streams the CSV
 into columns sized once, from the file's newline count, and returns a
@@ -87,7 +88,7 @@ class TurbineColumns(Sequence):
     never changed.
     """
 
-    id: np.ndarray  # object: str
+    id: np.ndarray  # StringDType: up to 15 UTF-8 bytes in the element, longer in its arena
     lon: np.ndarray
     lat: np.ndarray
     commissioning_year: np.ndarray  # int64
@@ -114,7 +115,7 @@ class TurbineColumns(Sequence):
                                 for r in recs), dtype, n)
 
         return cls(
-            np.array([r.id for r in recs], dtype=object),
+            np.array([r.id for r in recs], dtype=np.dtypes.StringDType()),
             np.fromiter((r.lon for r in recs), np.float64, n),
             np.fromiter((r.lat for r in recs), np.float64, n),
             numbers("commissioning_year", np.int64, _NEVER),
@@ -326,7 +327,7 @@ def _parse_rows(row_nos: np.ndarray, rows: list[list[str]],
         return out
 
     return TurbineColumns(
-        np.array(ids, dtype=object), lon, lat, years(values["p_year"]),
+        np.array(ids, dtype=np.dtypes.StringDType()), lon, lat, years(values["p_year"]),
         values["t_hh"], values["t_rd"], values["t_cap"], np.array(flags, dtype=bool),
         years(values["d_year"]), np.zeros((len(ids), len(IMPUTABLE_FIELDS)), bool))
 

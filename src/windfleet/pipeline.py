@@ -159,7 +159,7 @@ def load_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
     base = Path(path).parent
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -293,7 +293,7 @@ def load_fleet(turbines, extension=None, exclusions=None) -> fleet_mod.Fleet:
         exclusion_ids = set()
         if exclusions:
             exclusion_ids = fleet_mod.parse_exclusion_ids(
-                Path(exclusions).read_text(encoding="utf-8"))
+                Path(exclusions).read_text(encoding="utf-8-sig"))
         return fleet_mod.preprocess(records, exclusion_ids)
 
 

@@ -148,8 +148,6 @@ class SynthSpec:
         lon0, lon1, lat0, lat1 = self.bbox
         if lon0 >= lon1 or lat0 >= lat1:
             raise ValueError("bounding box must have positive extent")
-        if not math.isfinite(lon1 - lon0) or not math.isfinite(lat1 - lat0):
-            raise ValueError("bounding box extent must be finite")
         if not (-180.0 <= lon0 and lon1 <= 180.0 and -90.0 <= lat0 and lat1 <= 90.0):
             raise ValueError("bounding box must lie within lon -180..180 and lat -90..90")
         span = self.years[1] - self.years[0]

@@ -549,6 +549,64 @@ class TestValidateSubcommand:
         assert not out.exists()
 
 
+#: ids of over 15 UTF-8 bytes, not ASCII: the id column keeps them outside
+#: its 16-byte elements
+LONG_IDS = ("Éolienne-Ω-000000000001", "Éolienne-Ω-000000000002")
+
+
+class TestIdsStoredOutOfLine:
+    """Long non-ASCII ids go through the ingest as short ones do: the
+    extension's flag fills in by id, the exclusions drop by id, and validate
+    writes the tables it writes for the same registry under short ids."""
+
+    def inputs(self, fixture_dir, path, ids):
+        """The fixture registry with its first two ids renamed to ``ids``, an
+        extension that decommissions the first and an exclusions file naming
+        the second."""
+        header, *rows = (fixture_dir / "turbines.csv").read_text(encoding="utf-8").splitlines()
+        rows = [row.split(",") for row in rows]
+        for row, tid in zip(rows, ids):
+            row[0] = tid
+        path.mkdir()
+        (path / "turbines.csv").write_text(
+            "\n".join([header, *map(",".join, rows)]) + "\n", encoding="utf-8")
+        (path / "extension.csv").write_text(
+            "\n".join([header, ",".join(rows[0][:7] + ["true", "2030"])]) + "\n",
+            encoding="utf-8")
+        (path / "exclusions.txt").write_text(ids[1] + "\n", encoding="utf-8")
+        return ["--turbines", str(path / "turbines.csv"),
+                "--extension", str(path / "extension.csv"),
+                "--exclusions", str(path / "exclusions.txt")]
+
+    def test_ingest_and_validate(self, fixture_dir, tmp_path):
+        args = self.inputs(fixture_dir, tmp_path / "long", LONG_IDS)
+        table = fleet.parse_turbine_csv((tmp_path / "long" / "turbines.csv").read_bytes())
+        assert table.id[:2].tolist() == list(LONG_IDS)
+        ext = fleet.parse_turbine_csv((tmp_path / "long" / "extension.csv").read_bytes())
+        merged = fleet.merge_extension(table, ext)
+        assert len(merged) == len(table)
+        assert (merged[0].decommissioned_flag, merged[0].decommissioning_year) == (True, 2030)
+        fleet_ = fleet.preprocess(merged, {LONG_IDS[1]})
+        assert fleet_.provenance["excluded"] == 1
+        assert LONG_IDS[1] not in fleet_.turbines.id.tolist()
+        assert fleet_.turbines[0].id == LONG_IDS[0]
+
+        short = self.inputs(fixture_dir, tmp_path / "short", ("S0", "S1"))
+        tables = []
+        for registry, out in ((args, tmp_path / "long-val"), (short, tmp_path / "short-val")):
+            assert main(["validate", *registry, "--reference", str(fixture_dir / "reference.csv"),
+                         "--years", "2010:2011", "--out", str(out)]) == 0
+            tables.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert tables[0] == tables[1]
+
+    def test_a_repeated_long_id_is_named_whole(self, fixture_dir, tmp_path, capsys):
+        args = self.inputs(fixture_dir, tmp_path / "dup", (LONG_IDS[0], LONG_IDS[0]))
+        out = tmp_path / "val"
+        assert main(["validate", *args[:2], "--years", "2010:2011", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"fleet: duplicate turbine id {LONG_IDS[0]}\n"
+        assert not out.exists()
+
+
 class TestRegistryErrorsPerCommand:
     """Every command that reads the registry reports its errors alike: a
     missing file as its input's configuration error, a bad file as the
@@ -743,9 +801,9 @@ class TestBadFlagValues:
         ("synth", ["--wind", "sinusoidal:1e300,1e300,720"], "must be finite in float32"),
         ("synth", ["--wind", "noise:1e308,1e308"], "must be finite in float32"),
         ("synth", ["--wind", "constant:1e300,1e300"], "must be finite in float32"),
-        # a finite box whose extent leaves the float range
+        # a finite box whose extent leaves the float range is out of range
         ("synth", ["--bbox", " -1e308", "1e308", "35", "40"],
-         "bounding box extent must be finite"),
+         "bounding box must lie within lon -180..180 and lat -90..90"),
         # a one-node axis has no extent for a turbine to lie on
         ("synth", ["--grid", "1x1", "--n-turbines", "3"],
          "grid needs at least 2 nodes on each axis"),

@@ -3,8 +3,10 @@ generation, grid and series files) are read through ``windfleet.csvinput``
 and follow the same rules, and a mutated input file never breaks the
 exit-code contract of the commands that read it."""
 
+import codecs
 import contextlib
 import io
+import json
 import re
 import tempfile
 import warnings
@@ -125,6 +127,31 @@ class TestSharedRules:
             assert err.startswith(f"data: {bad}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", [*INPUTS, "exclusions", "config"])
+    def test_leading_byte_order_mark_is_skipped(self, name, bundle, tmp_path):
+        """A UTF-8 BOM at the start of an input changes no output: each of the
+        five CSV inputs, the exclusions file and the config file, in turn,
+        is read with and without one from the same path."""
+        file, cmd = {**{k: v[:2] for k, v in INPUTS.items()},
+                     "exclusions": ("exclusions.txt", "report"),
+                     "config": ("run.conf", "report")}[name]
+        path, out = tmp_path / file, tmp_path / "out"
+        text = b"S00000\nS00001\n" if name == "exclusions" else (bundle / file).read_bytes()
+        argv = command(cmd, bundle, path, out)
+        if name == "exclusions":
+            argv += ["--exclusions", str(path)]
+        outputs = []
+        for prefix in (b"", codecs.BOM_UTF8):
+            path.write_bytes(prefix + text)
+            assert run(argv)[0] == 0
+            outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                            if p.is_file()} if out.is_dir() else out.read_bytes())
+            out.rename(tmp_path / f"out-{len(outputs)}")
+        assert outputs[0] == outputs[1]
+        if name == "exclusions":
+            report = json.loads(outputs[1][Path("report.json")])
+            assert report["fleet"]["provenance"]["excluded"] == 2
+
     @pytest.mark.parametrize("text, message", [
         ("year,value,unit\n2010,1.0,W\nabc,2.0,W\n", "non-numeric year, row 2"),
         ("year,value,unit\n2010,1.0,W\n\n2011,2.0\n", "expected 3 columns, got 2, row 3"),
@@ -151,12 +178,16 @@ class TestSharedRules:
         (parse_generation_csv, "year,month,net_generation_mwh"),
         (lambda data: grid_from_csv(data, t0=0), GRID_CSV.split("\n")[0])])
     def test_decode_error_first(self, parse, header):
-        """A row error before an undecodable byte yields to the decode error."""
+        """A row error before an undecodable byte yields to the decode error,
+        which names the byte's offset in the file, a leading BOM included."""
         row = ",".join(["abc"] * len(header.split(",")))
-        with pytest.raises(UnicodeDecodeError):
-            parse(f"{header}\n{row}\n".encode() + b"\xff\n")
-        with pytest.raises(DataError, match="non-numeric"):
-            parse(f"{header}\n{row}\n".encode())
+        for mark in (b"", codecs.BOM_UTF8):
+            data = mark + f"{header}\n{row}\n".encode() + b"\xff\n"
+            with pytest.raises(UnicodeDecodeError) as error:
+                parse(data)
+            assert error.value.start == data.index(b"\xff")
+            with pytest.raises(DataError, match="non-numeric"):
+                parse(mark + f"{header}\n{row}\n".encode())
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n"])
     def test_line_endings_and_padded_header(self, ending):

@@ -113,7 +113,7 @@ class TestMergeExtension:
     def test_empty(self):
         assert list(merge_extension([], [])) == []
 
-    @pytest.mark.parametrize("tid", ["T1", "T2"])
+    @pytest.mark.parametrize("tid", ["T1", "T2", "Éolienne-Ω-000000000001"])
     def test_duplicate_extension_ids_rejected(self, tid):
         """A repeated extension id fails whether or not the base has it."""
         ext = [turbine(tid, flagged=True, d_year=2015), turbine(tid, d_year=2016)]
@@ -154,7 +154,8 @@ def naive_merge(base, ext):
 def merge_records(draw, max_size):
     """Records with ids from a few names, so that base and extension overlap,
     and any decommissioning flag, year and blanks."""
-    return [turbine(draw(st.sampled_from("ABCDEFGH")), year=draw(st.integers(2000, 2005)),
+    return [turbine(draw(st.sampled_from([*"ABCDEFGH", "Éolienne-Ω-000000000001"])),
+                    year=draw(st.integers(2000, 2005)),
                     hub=draw(st.none() | st.floats(50.0, 150.0)),
                     flagged=draw(st.booleans()),
                     d_year=draw(st.none() | st.integers(2006, 2020)),

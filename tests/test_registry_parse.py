@@ -13,14 +13,15 @@ import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from windfleet import csvinput, pipeline
 from windfleet.errors import DataError
-from windfleet.fleet import (REQUIRED_COLUMNS, TurbineRecord, parse_turbine_csv,
-                             preprocess)
+from windfleet.fleet import (REQUIRED_COLUMNS, TurbineColumns, TurbineRecord,
+                             merge_extension, parse_turbine_csv, preprocess)
 from windfleet.synth import SynthSpec, WindModel, generate_fleet
 
 _TRUE = {"true", "t", "1", "yes"}
@@ -375,6 +376,38 @@ class TestFileForm:
 
 
 class TestBoundedMemory:
+    SPEC = SynthSpec(n_turbines=5_000, years=(1990, 2019), n_lat=2, n_lon=2,
+                     wind=WindModel("constant", (8.0, 8.0)), bbox=(-125.0, -67.0, 25.0, 49.0),
+                     hub_trend=(50.0, 2.5), rotor_trend=(40.0, 3.0))
+
+    def test_table_holds_under_96_bytes_a_turbine(self):
+        """Every column is a flat array, the ids one ``StringDType`` column
+        that keeps an id of up to 15 bytes in its 16-byte element: ~78 bytes
+        a turbine, where one Python ``str`` an id held 125."""
+        data = generate_fleet(self.SPEC, 7)
+        tracemalloc.start()
+        try:
+            table = parse_turbine_csv(data)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 5_000
+        assert held <= 96 * len(table), f"{held / len(table):.1f} B a turbine"
+
+    def test_ids_stay_one_string_column(self):
+        """Each ingest stage keeps the ids' dtype, also where it rebuilds a
+        column."""
+        string = np.dtypes.StringDType()
+        table = parse_turbine_csv(generate_fleet(self.SPEC, 7))
+        assert table.id.dtype == string
+        records = list(table[:10])
+        ext = TurbineColumns.of([replace(r, id=f"X{r.id}") for r in records])
+        assert ext.id.dtype == string
+        assert merge_extension(table, ext).id.dtype == string
+        fleet_ = preprocess(table, {records[0].id})
+        assert fleet_.turbines.id.dtype == string
+        assert fleet_.turbines[1:3].id.dtype == string
+
     def test_parse_and_preprocess_within_three_times_the_file(self):
         """The table costs a few times its CSV text; one record per row costs
         about ten times."""
